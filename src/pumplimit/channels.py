@@ -9,7 +9,7 @@ the generated pair states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class KrausChannel:
 
     operators: tuple
     labels: tuple | None = None
+    #: the operators stacked into one (k, 4, 4) array, for batched products
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) == 0:
@@ -48,6 +50,9 @@ class KrausChannel:
             a.setflags(write=False)
             ops.append(a)
         object.__setattr__(self, "operators", tuple(ops))
+        stack = np.stack(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != len(ops):
@@ -76,7 +81,7 @@ def apply_channel(ch: KrausChannel, state) -> np.ndarray:
     """Apply ``sum_i M_i rho M_i^dag`` to a 4x4 density matrix."""
     a = as_matrix(state, dims=(4,))
     validate_density_matrix(a, dim=4)
-    out = sum(m @ a @ dagger(m) for m in ch.operators)
+    out = np.sum(ch.stack @ a @ dagger(ch.stack), axis=0)
     return (out + dagger(out)) / 2.0
 
 

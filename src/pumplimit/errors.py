@@ -26,7 +26,13 @@ class BadDimensionError(PumpLimitError):
 
 
 class InvalidDensityMatrixError(PumpLimitError):
-    """Matrix fails the density-matrix checks (Hermitian, unit trace, PSD)."""
+    """Matrix fails the density-matrix checks (Hermitian, unit trace, PSD).
+
+    ``index`` is the flat position, in the checked stack, of the first state
+    that failed; None when the error does not come from a stack check.
+    """
+
+    index: int | None = None
 
 
 class InvalidSpectrumError(PumpLimitError):

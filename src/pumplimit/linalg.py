@@ -178,6 +178,60 @@ def phase_fixed(v) -> np.ndarray:
     return v * (np.conj(v[k]) / mag)
 
 
+def check_states(
+    m,
+    dims: tuple[int, ...] = SUPPORTED_DIMS,
+    herm_tol: float = HERMITIAN_TOL,
+    trace_tol: float = 1e-10,
+    eig_floor: float = PSD_TOL,
+    vectors: bool = False,
+):
+    """Apply the density-matrix rules to a stack of shape ``(..., n, n)``.
+
+    The rules, checked in order: square trailing axes with ``n`` in ``dims``,
+    Hermiticity within ``herm_tol`` (max norm), unit trace within
+    ``trace_tol`` and no eigenvalue below ``-eig_floor``.  The eigenvalues
+    are those of the Hermitian part ``h = (m + m^dag)/2``, from ``eigvalsh``
+    or, with ``vectors``, from ``eigh``.  Returns ``(h, w)`` or, with
+    ``vectors``, ``(h, (w, v))``, eigenvalues ascending, so that callers
+    reuse the one decomposition.
+
+    A broken shape raises DimensionMismatchError.  A broken rule raises
+    InvalidDensityMatrixError whose ``index`` is the flat position, over the
+    leading axes, of the first state that breaks it.  A NaN entry breaks the
+    Hermiticity rule.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
+        raise DimensionMismatchError(
+            f"expected shape (..., n, n) with n in {dims}, got {a.shape}"
+        )
+    # each rule is tested on the whole stack first; the per-state pass that
+    # finds the offender runs only on failure
+    adj = dagger(a)
+    if not np.abs(a - adj).max() <= herm_tol:
+        defect = np.abs(a - adj).max(axis=(-2, -1))
+        _reject(defect <= herm_tol, defect, f"not Hermitian: defect {{:.3e}} exceeds {herm_tol:.1e}")
+    tr = a.trace(axis1=-2, axis2=-1)
+    if not np.abs(tr - 1.0).max() <= trace_tol:
+        _reject(np.abs(tr - 1.0) <= trace_tol, tr, f"trace {{:.12g}} is not 1 within {trace_tol:.1e}")
+    h = a + adj
+    h /= 2.0
+    eig = _eigh(h) if vectors else _eigvalsh(h)
+    low = (eig[0] if vectors else eig)[..., 0]
+    if not low.min() >= -eig_floor:
+        _reject(low >= -eig_floor, low, "negative eigenvalue {:.3e}")
+    return h, eig
+
+
+def _reject(ok, values, message: str):
+    """Raise for the first ``False`` in ``ok``, formatting its entry of ``values``."""
+    index = int(np.argmin(np.ravel(ok)))
+    exc = InvalidDensityMatrixError(message.format(np.ravel(values)[index]))
+    exc.index = index
+    raise exc
+
+
 def validate_density_matrix(
     m,
     dim: int | None = None,
@@ -188,24 +242,14 @@ def validate_density_matrix(
     """Check the density-matrix invariants and return the spectrum.
 
     Verifies Hermiticity, unit trace and positive semidefiniteness (within
-    ``eig_floor``); returns the eigenvalues sorted non-ascending.  Raises
-    InvalidDensityMatrixError on any violation.
+    ``eig_floor``) with :func:`check_states`; returns the eigenvalues sorted
+    non-ascending.  Raises InvalidDensityMatrixError on any violation.
     """
     a = as_matrix(m)
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise InvalidDensityMatrixError(
-            f"not Hermitian: defect {defect:.3e} exceeds {herm_tol:.1e}"
-        )
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidDensityMatrixError(f"trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-    w = _eigvalsh((a + dagger(a)) / 2.0)[::-1]
-    if w[-1] < -eig_floor:
-        raise InvalidDensityMatrixError(f"negative eigenvalue {w[-1]:.3e}")
-    return w
+    _, w = check_states(a, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
+    return w[::-1]
 
 
 def validate_spectrum(values, dim: int = 4, tol: float = 1e-10) -> np.ndarray:

@@ -17,11 +17,9 @@ import numpy as np
 from .errors import BadParameterError
 from .linalg import (
     _eigh_desc,
-    _eigvalsh,
     as_matrix,
     dagger,
     phase_fixed,
-    tensor,
     validate_density_matrix,
 )
 
@@ -112,9 +110,13 @@ class EmbeddedPump:
 
 
 def embed_pump(j) -> EmbeddedPump:
-    """Embed a 2x2 pump into the 4x4 two-photon space."""
+    """Embed a 2x2 pump into the 4x4 two-photon space.
+
+    ``sigma`` is ``|0><0| (x) J``; its spectrum is the pump's, padded with
+    two zeros, so no 4x4 decomposition is needed.
+    """
     a = as_matrix(j, dims=(2,))
-    validate_polarization_matrix(a)
-    sigma = tensor(np.diag([1.0, 0.0]), a)
-    spectrum = _eigvalsh((sigma + dagger(sigma)) / 2.0)[::-1]
-    return EmbeddedPump(sigma=sigma, spectrum=spectrum)
+    w = validate_polarization_matrix(a)
+    sigma = np.zeros((4, 4), dtype=complex)
+    sigma[:2, :2] = a
+    return EmbeddedPump(sigma=sigma, spectrum=np.concatenate([w, (0.0, 0.0)]))

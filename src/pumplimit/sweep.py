@@ -8,7 +8,9 @@ sweep seed, and each sample owns a fixed window of the counter stream (two
 4-word blocks = eight uniform draws).  Sample values therefore depend only
 on ``(seed, sample_id)``; batching and worker scheduling cannot change them,
 and the CSV produced for a given configuration is byte-identical for any
-worker count.
+worker count.  Rows are rendered from one fixed template,
+``"%d" + ",%.17g" * 15``, so every float re-parses to the same double; the
+bytes of the file, not just its values, are the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import scheme
-from .errors import BadConfigError
+from .errors import BadConfigError, InvalidDensityMatrixError
 from .scheme import SchemeParams
 from .twoqubit import _wootters_stack, concurrence
 
@@ -62,6 +64,9 @@ SATURATING_SETTING = {
 _BLOCKS_PER_SAMPLE = 2
 # fixed evaluation batch; must not depend on the worker count
 _BATCH = 8192
+# rows formatted and encoded at a time by _render_csv
+_RENDER_CHUNK = 1024
+_ROW = "%d" + ",%.17g" * 15 + "\n"
 _UNIT_INTERVAL = ("pump_p", "t", "mu")
 
 
@@ -138,12 +143,19 @@ def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
 
 
 def _evaluate(cfg: SweepConfig, start: int, stop: int):
-    """Columns, concurrence, bounds and spectra for samples [start, stop)."""
+    """Columns, concurrence, bounds and spectra for samples [start, stop).
+
+    Every state passes the physicality gate of the builders inside the
+    Wootters kernel; a state that fails it raises
+    InvalidDensityMatrixError naming its ``sample_id``.
+    """
     cols = _draw_columns(cfg, start, stop)
     pump_p, t, th1, th2, a1, a2, mu, g0 = (cols[:, j] for j in range(len(COLUMNS)))
     rhos = scheme._density_stack(pump_p, t, th1, th2, a1, a2, mu, g0)
-    scheme._validate_built(rhos, "sweep")
-    spectra, s = _wootters_stack(rhos)
+    try:
+        spectra, s = _wootters_stack(rhos, trace_tol=scheme.BUILT_TRACE_TOL)
+    except InvalidDensityMatrixError as exc:
+        raise InvalidDensityMatrixError(f"sweep: sample_id={start + exc.index}: {exc}") from exc
     conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
     return {
         "sample_id": np.arange(start, stop, dtype=np.int64),
@@ -157,7 +169,7 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int):
 
 def _render_csv(batch) -> bytes:
     """One CSV text block (no header) for an evaluated batch."""
-    ids = batch["sample_id"]
+    ids = batch["sample_id"].tolist()
     values = np.concatenate(
         [
             batch["columns"],
@@ -168,10 +180,13 @@ def _render_csv(batch) -> bytes:
         ],
         axis=1,
     )
-    lines = []
-    for i in range(ids.shape[0]):
-        lines.append(str(int(ids[i])) + "," + ",".join(format(x, ".17g") for x in values[i]))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    chunks = []
+    for lo in range(0, len(ids), _RENDER_CHUNK):
+        rows = values[lo : lo + _RENDER_CHUNK].tolist()
+        for sid, row in zip(ids[lo : lo + _RENDER_CHUNK], rows):
+            row.insert(0, sid)
+        chunks.append("".join([_ROW % tuple(row) for row in rows]).encode("ascii"))
+    return b"".join(chunks)
 
 
 def _csv_task(args) -> tuple[bytes, tuple]:

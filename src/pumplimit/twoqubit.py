@@ -3,7 +3,9 @@
 Basis order is (|HH>, |HV>, |VH>, |VV>) with the signal photon first and
 H -> 0, V -> 1 for each photon.  Concurrence is computed through the
 Hermitian form sqrt(rho) rho~ sqrt(rho) of the spin-flip construction, so
-only a Hermitian eigensolver is ever needed.
+only a Hermitian eigensolver is ever needed.  The density-matrix checks
+and the s-values share one ``eigh`` of each state: its eigenvalues decide
+the PSD check, give the spectrum and, with its vectors, build sqrt(rho).
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -17,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDensityMatrixError, NotPSDError, NotTwoDError
+from .errors import NotPSDError, NotTwoDError
 from .linalg import (
-    _eigh,
     _eigh_desc,
     _eigvalsh,
     as_matrix,
-    clamp_spectrum,
+    check_states,
     dagger,
     phase_fixed,
     validate_density_matrix,
@@ -69,18 +70,26 @@ def spin_flip(rho) -> np.ndarray:
     return _SPIN_FLIP @ np.conj(a) @ _SPIN_FLIP
 
 
-def _wootters_stack(rhos: np.ndarray):
-    """Spectrum and s-values for a stack of (assumed valid) states.
+def _wootters_stack(
+    rhos: np.ndarray, herm_tol: float = RHO_HERMITIAN_TOL, trace_tol: float = RHO_TRACE_TOL
+):
+    """Check a stack of states, then return its spectrum and s-values.
 
-    Returns ``(spectrum, s)`` where ``spectrum`` holds the eigenvalues of
-    each rho and ``s`` the square roots of the eigenvalues of
-    sqrt(rho) rho~ sqrt(rho), both sorted non-ascending along the last axis.
+    The density-matrix rules of :func:`~pumplimit.linalg.check_states` are
+    applied with the given tolerances; the Hermitian part and the ``eigh``
+    that the check returns also give rho~ and sqrt(rho).  Returns
+    ``(spectrum, s)`` where ``spectrum`` holds the eigenvalues of each rho
+    and ``s`` the square roots of the eigenvalues of sqrt(rho) rho~
+    sqrt(rho), both sorted non-ascending along the last axis.
     """
-    h = (rhos + dagger(rhos)) / 2.0
-    w, v = _eigh(h)  # ascending
-    root = (v * np.sqrt(clamp_spectrum(w))[..., None, :]) @ dagger(v)
+    h, (w, v) = check_states(
+        rhos, dims=(4,), herm_tol=herm_tol, trace_tol=trace_tol, vectors=True
+    )
+    root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ dagger(v)
     m = root @ (_SPIN_FLIP @ np.conj(h) @ _SPIN_FLIP) @ root
-    ev = _eigvalsh((m + dagger(m)) / 2.0)
+    m += dagger(m)  # in place: one 4x4 stack fewer alive at the sweep's peak
+    m /= 2.0
+    ev = _eigvalsh(m)
     low = float(np.min(ev))
     if low < -_SQRT_CLAMP:
         raise NotPSDError(f"spin-flip product eigenvalue {low:.3e} below -{_SQRT_CLAMP:.0e}")
@@ -96,7 +105,6 @@ def wootters_spectrum(rho) -> np.ndarray:
     sqrt(rho) rho~ sqrt(rho), sorted non-ascending.
     """
     a = as_matrix(rho, dims=(4,))
-    validate_two_qubit_state(a)
     return _wootters_stack(a[None])[1][0]
 
 
@@ -113,23 +121,13 @@ def concurrence(rho) -> float:
 def concurrence_many(rhos, validate: bool = True) -> np.ndarray:
     """Concurrence over a stack of states, shape ``(..., 4, 4) -> (...,)``.
 
-    Vectorized equivalent of :func:`concurrence`; with ``validate`` a single
-    max-norm Hermiticity/trace check covers the whole stack.
+    Vectorized equivalent of :func:`concurrence`, with the same per-state
+    checks.  ``validate=False`` skips the Hermiticity and trace rules; the
+    shape and PSD rules, which the s-values need, always apply.
     """
     a = np.asarray(rhos, dtype=complex)
-    if a.ndim < 2 or a.shape[-2:] != (4, 4):
-        raise InvalidDensityMatrixError(f"expected shape (..., 4, 4), got {a.shape}")
-    if validate:
-        defect = float(np.max(np.abs(a - dagger(a))))
-        if defect > RHO_HERMITIAN_TOL:
-            raise InvalidDensityMatrixError(
-                f"not Hermitian: defect {defect:.3e} exceeds {RHO_HERMITIAN_TOL:.1e}"
-            )
-        traces = np.trace(a, axis1=-2, axis2=-1)
-        err = float(np.max(np.abs(traces - 1.0)))
-        if err > RHO_TRACE_TOL:
-            raise InvalidDensityMatrixError(f"trace defect {err:.3e}")
-    _, s = _wootters_stack(a)
+    tols = {} if validate else {"herm_tol": math.inf, "trace_tol": math.inf}
+    _, s = _wootters_stack(a, **tols)
     return np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
 
 

@@ -5,6 +5,7 @@ from pumplimit import (
     BadDimensionError,
     BadParameterError,
     DimensionMismatchError,
+    InvalidDensityMatrixError,
     InvalidSpectrumError,
     NotHermitianError,
     NotPSDError,
@@ -15,6 +16,7 @@ from pumplimit import (
     tensor,
     validate_spectrum,
 )
+from pumplimit.linalg import check_states
 from oracles import SIGMA_Y, eig2_hermitian, kron_expand, random_hermitian
 
 
@@ -171,3 +173,23 @@ def test_validate_spectrum_accepts_and_cleans():
 def test_validate_spectrum_rejects(values):
     with pytest.raises(InvalidSpectrumError):
         validate_spectrum(values)
+
+
+def test_check_states_names_first_failing_state():
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (6, 1, 1))
+    for k in (2, 4):
+        stack[k] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
+        check_states(stack)
+    assert info.value.index == 2
+    h, (w, v) = check_states(stack[:2], vectors=True)
+    np.testing.assert_array_equal(h, stack[:2])
+    np.testing.assert_allclose(w, np.full((2, 4), 0.25), atol=1e-15)
+    assert v.shape == (2, 4, 4)
+
+
+def test_check_states_rejects_bad_shape():
+    with pytest.raises(DimensionMismatchError):
+        check_states(np.eye(4)[None], dims=(2,))
+    with pytest.raises(DimensionMismatchError):
+        check_states(np.ones(4))

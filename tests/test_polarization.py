@@ -103,6 +103,7 @@ def test_canonical_pump_rejects_out_of_range():
         np.array([[0.5, 0.5], [0.0, 0.5]]),          # not Hermitian
         np.array([[0.7, 0.0], [0.0, 0.7]]),          # trace != 1
         np.array([[1.2, 0.0], [0.0, -0.2]]),         # negative eigenvalue
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),       # NaN entry
     ],
 )
 def test_invalid_pump_rejected(j):

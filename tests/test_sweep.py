@@ -4,9 +4,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import pumplimit.scheme
 from pumplimit import (
     BadConfigError,
     BadParameterError,
+    InvalidDensityMatrixError,
     SweepConfig,
     SweepRecord,
     build_density_matrix,
@@ -19,7 +21,7 @@ from pumplimit import (
     verify_bounds,
     verify_csv,
 )
-from pumplimit.sweep import CSV_HEADER
+from pumplimit.sweep import _BATCH, _RENDER_CHUNK, CSV_HEADER, _evaluate, _render_csv
 
 
 @pytest.mark.parametrize(
@@ -184,3 +186,65 @@ def test_records_immutable():
     record = run_sweep(SweepConfig(n_samples=1, seed=2))[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.concurrence = 0.0
+
+
+def _render_oracle(batch) -> bytes:
+    """The per-value renderer the template must match byte for byte."""
+    ids = batch["sample_id"]
+    values = np.concatenate(
+        [
+            batch["columns"],
+            batch["concurrence"][:, None],
+            batch["bound_general"][:, None],
+            batch["bound_2d"][:, None],
+            batch["spectrum"],
+        ],
+        axis=1,
+    )
+    lines = []
+    for i in range(ids.shape[0]):
+        lines.append(str(int(ids[i])) + "," + ",".join(format(x, ".17g") for x in values[i]))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_render_matches_oracle_on_special_values():
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 0.1]
+    rng = np.random.default_rng(4)
+    values = rng.choice(special, size=(25, 15))
+    values[0] = special[:10] + special[:5]
+    batch = {
+        "sample_id": np.arange(2**31 - 3, 2**31 + 22, dtype=np.int64) * 3,
+        "columns": values[:, :8],
+        "concurrence": values[:, 8],
+        "bound_general": values[:, 9],
+        "bound_2d": values[:, 10],
+        "spectrum": values[:, 11:],
+    }
+    rendered = _render_csv(batch)
+    assert rendered == _render_oracle(batch)
+    assert rendered.startswith(b"6442450935,nan,inf,-inf,-0,0,4.9406564584124654e-324,1.0000000000000001e+300,")
+
+
+def test_render_matches_oracle_across_chunk_boundaries():
+    n = 2 * _RENDER_CHUNK + 37
+    batch = _evaluate(SweepConfig(n_samples=n, seed=21), 0, n)
+    rendered = _render_csv(batch)
+    assert rendered == _render_oracle(batch)
+    assert rendered.count(b"\n") == n
+
+
+def test_gate_failure_names_sample_id(monkeypatch):
+    original = pumplimit.scheme._density_stack
+    bad = (37, 60)  # positions inside the second batch
+
+    def with_bad_states(*args):
+        rhos = original(*args)
+        if rhos.shape[0] < _BATCH:
+            for k in bad:
+                rhos[k] = np.diag([1.5, -0.5, 0.0, 0.0])
+        return rhos
+
+    monkeypatch.setattr(pumplimit.scheme, "_density_stack", with_bad_states)
+    with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
+        run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
+    assert f"sample_id={_BATCH + bad[0]}:" in str(info.value)
