@@ -77,6 +77,7 @@ from .sweep import (
     BoundReport,
     SweepConfig,
     SweepRecord,
+    SweepRecords,
     load_csv,
     run_sweep,
     saturating_config,
@@ -156,6 +157,7 @@ __all__ = [
     # sweep harness
     "SweepConfig",
     "SweepRecord",
+    "SweepRecords",
     "BoundReport",
     "DEFAULT_RANGES",
     "SATURATING_SETTING",

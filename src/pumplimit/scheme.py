@@ -29,7 +29,6 @@ import numpy as np
 from .errors import BadParameterError, InvalidDensityMatrixError
 from .linalg import as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
-from .twoqubit import is_two_d  # re-exported: 2D detection for source output
 
 __all__ = [
     "SchemeParams",
@@ -37,7 +36,6 @@ __all__ = [
     "transform_fields",
     "build_density_matrix",
     "build_density_matrix_oracle",
-    "is_two_d",
 ]
 
 PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pump_p")

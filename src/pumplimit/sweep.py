@@ -11,11 +11,19 @@ and the CSV produced for a given configuration is byte-identical for any
 worker count.  Rows are rendered from one fixed template,
 ``"%d" + ",%.17g" * 15``, so every float re-parses to the same double; the
 bytes of the file, not just its values, are the reproducibility contract.
+
+:func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
+sequence backed by column arrays: each :class:`SweepRecord` is built when it
+is accessed, and :func:`verify_bounds` audits the columns without building
+any.  The audit recomputes both bounds from ``pump_p`` and trusts no stored
+bound column; a NaN slack counts as a violation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -23,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import scheme
-from .errors import BadConfigError, InvalidDensityMatrixError
+from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError
 from .scheme import SchemeParams
 from .twoqubit import _wootters_stack, concurrence
 
@@ -67,7 +75,10 @@ _BATCH = 8192
 # rows formatted and encoded at a time by _render_csv
 _RENDER_CHUNK = 1024
 _ROW = "%d" + ",%.17g" * 15 + "\n"
+_N_FIELDS = CSV_HEADER.count(",") + 1
 _UNIT_INTERVAL = ("pump_p", "t", "mu")
+_UNIT_INDEX = [COLUMNS.index(name) for name in _UNIT_INTERVAL]
+_P, _T = COLUMNS.index("pump_p"), COLUMNS.index("t")
 
 
 @dataclass(frozen=True)
@@ -122,6 +133,60 @@ class SweepRecord:
     bound_general: float
     bound_2d: float
     spectrum: np.ndarray
+
+
+#: column arrays behind a SweepRecords, with the trailing shape of each
+_RECORD_COLUMNS = {
+    "sample_id": (),
+    "columns": (len(COLUMNS),),
+    "concurrence": (),
+    "bound_general": (),
+    "bound_2d": (),
+    "spectrum": (4,),
+}
+
+
+class SweepRecords(Sequence):
+    """Sweep records in sample order, held as one array per column.
+
+    Indexing (and so iteration) builds each :class:`SweepRecord` on access;
+    slicing returns another SweepRecords over views of the same columns.
+    """
+
+    def __init__(self, batches: list[dict]):
+        if len(batches) == 1:  # a slice, or a one-batch sweep: keep the arrays
+            self._cols = {key: batches[0][key] for key in _RECORD_COLUMNS}
+            return
+        self._cols = {
+            key: np.concatenate([b[key] for b in batches])
+            if batches
+            else np.empty((0,) + shape, dtype=np.int64 if key == "sample_id" else float)
+            for key, shape in _RECORD_COLUMNS.items()
+        }
+
+    def __len__(self) -> int:
+        return self._cols["sample_id"].shape[0]
+
+    def __getitem__(self, index):
+        cols = self._cols
+        if isinstance(index, slice):
+            return SweepRecords([{key: value[index] for key, value in cols.items()}])
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"record index {index} out of range for {len(self)} records")
+        return SweepRecord(
+            sample_id=int(cols["sample_id"][i]),
+            params=SchemeParams(**dict(zip(COLUMNS, cols["columns"][i].tolist()))),
+            concurrence=float(cols["concurrence"][i]),
+            bound_general=float(cols["bound_general"][i]),
+            bound_2d=float(cols["bound_2d"][i]),
+            spectrum=cols["spectrum"][i].copy(),
+        )
+
+    def _batches(self) -> Iterator[dict]:
+        """Views of the columns, _BATCH rows at a time."""
+        for lo in range(0, len(self), _BATCH):
+            yield {key: value[lo : lo + _BATCH] for key, value in self._cols.items()}
 
 
 def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
@@ -229,8 +294,9 @@ class BoundReport:
     """Audit of a sweep against the polarization bounds.
 
     A record violates the audit when its concurrence exceeds (1 + P)/2 +
-    1e-9, or P + 1e-9 for two-level records (t = 1 exactly).
-    ``worst_slack`` is the smallest bound-minus-concurrence margin seen;
+    1e-9, or P + 1e-9 for two-level records (t = 1 exactly), or is NaN;
+    both bounds come from the record's P.  ``worst_slack`` is the smallest
+    bound-minus-concurrence margin seen, NaN once any margin is NaN;
     ``decile_max`` holds the largest concurrence per pump-P decile.
     """
 
@@ -245,7 +311,7 @@ class BoundReport:
         n, viol, worst, max_gen, max_2d, dec = part
         self.n_records += n
         self.violations += viol
-        self.worst_slack = min(self.worst_slack, worst)
+        self.worst_slack = float(np.minimum(self.worst_slack, worst))  # NaN sticks
         # fmax keeps the non-NaN operand, so empty partitions stay NaN
         self.max_general = float(np.fmax(self.max_general, max_gen))
         self.max_two_d = float(np.fmax(self.max_two_d, max_2d))
@@ -253,14 +319,19 @@ class BoundReport:
 
 
 def _accumulate(batch) -> tuple:
-    """Per-batch audit summary, fold-able into a BoundReport."""
+    """Per-batch audit summary, fold-able into a BoundReport.
+
+    Both bounds are recomputed from ``pump_p``; the stored bound columns are
+    not read.  A NaN slack fails ``slack >= -BOUND_TOL`` and so counts as a
+    violation.
+    """
     conc = batch["concurrence"]
-    pump_p = batch["columns"][:, COLUMNS.index("pump_p")]
-    t = batch["columns"][:, COLUMNS.index("t")]
-    slack = batch["bound_general"] - conc
+    pump_p = batch["columns"][:, _P]
+    t = batch["columns"][:, _T]
+    slack = (1.0 + pump_p) / 2.0 - conc
     two_d = t == 1.0
-    slack = np.where(two_d, np.minimum(slack, batch["bound_2d"] - conc), slack)
-    violations = int(np.count_nonzero(slack < -BOUND_TOL))
+    slack = np.where(two_d, np.minimum(slack, pump_p - conc), slack)
+    violations = int(np.count_nonzero(~(slack >= -BOUND_TOL)))
     worst = float(slack.min()) if slack.size else math.inf
     max_gen = float(conc[~two_d].max()) if np.any(~two_d) else math.nan
     max_2d = float(conc[two_d].max()) if np.any(two_d) else math.nan
@@ -270,32 +341,40 @@ def _accumulate(batch) -> tuple:
     return conc.size, violations, worst, max_gen, max_2d, dec
 
 
-def _records_from_batch(batch, out: list) -> None:
+def _check_params(batch) -> None:
+    """Reject a batch whose settings SchemeParams would refuse.
+
+    Every setting must be finite and ``pump_p``, ``t`` and ``mu`` must lie
+    in [0, 1]; the first failing row is rebuilt as SchemeParams so that the
+    error names its setting, prefixed by its ``sample_id``.
+    """
     cols = batch["columns"]
-    for i, sid in enumerate(batch["sample_id"]):
-        params = SchemeParams(**{name: cols[i, j] for j, name in enumerate(COLUMNS)})
-        out.append(
-            SweepRecord(
-                sample_id=int(sid),
-                params=params,
-                concurrence=float(batch["concurrence"][i]),
-                bound_general=float(batch["bound_general"][i]),
-                bound_2d=float(batch["bound_2d"][i]),
-                spectrum=batch["spectrum"][i].copy(),
-            )
-        )
+    unit = cols[:, _UNIT_INDEX]
+    ok = np.isfinite(cols).all(axis=1) & ((unit >= 0.0) & (unit <= 1.0)).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            SchemeParams(**dict(zip(COLUMNS, cols[i].tolist())))
+        except BadParameterError as exc:
+            raise BadParameterError(f"sample_id={batch['sample_id'][i]}: {exc}") from None
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def _records_from_batch(batch, out: list) -> None:
+    """Check a batch's settings once, then keep its columns for SweepRecords."""
+    _check_params(batch)
+    out.append(batch)
+
+
+def run_sweep(cfg: SweepConfig) -> SweepRecords:
     """All sample records, in sample-id order.
 
-    Materializes every record; for very large sweeps prefer
+    Holds every sample's columns in memory; for very large sweeps prefer
     :func:`sweep_to_csv`, which streams.
     """
-    records: list[SweepRecord] = []
+    batches: list[dict] = []
     for batch in _ordered_map(_batch_task, _batches(cfg), cfg.workers):
-        _records_from_batch(batch, records)
-    return records
+        _records_from_batch(batch, batches)
+    return SweepRecords(batches)
 
 
 def sweep_to_csv(cfg: SweepConfig, path) -> BoundReport:
@@ -314,30 +393,33 @@ def sweep_to_csv(cfg: SweepConfig, path) -> BoundReport:
     return report
 
 
-def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
-    """Audit records against the bounds (see :class:`BoundReport`)."""
-    report = BoundReport()
+def _record_batches(records: Iterable[SweepRecord]) -> Iterator[dict]:
+    """The columns ``_accumulate`` reads, at most _BATCH records at a time."""
+    if isinstance(records, SweepRecords):
+        yield from records._batches()
+        return
     chunk: list[SweepRecord] = []
-
-    def flush():
-        if not chunk:
-            return
-        batch = {
-            "concurrence": np.array([r.concurrence for r in chunk]),
-            "bound_general": np.array([r.bound_general for r in chunk]),
-            "bound_2d": np.array([r.bound_2d for r in chunk]),
-            "columns": np.array(
-                [[getattr(r.params, name) for name in COLUMNS] for r in chunk]
-            ),
-        }
-        report._fold(_accumulate(batch))
-        chunk.clear()
-
     for record in records:
         chunk.append(record)
         if len(chunk) >= _BATCH:
-            flush()
-    flush()
+            yield _pack(chunk)
+            chunk = []
+    if chunk:
+        yield _pack(chunk)
+
+
+def _pack(chunk: list) -> dict:
+    return {
+        "concurrence": np.array([r.concurrence for r in chunk]),
+        "columns": np.array([[getattr(r.params, name) for name in COLUMNS] for r in chunk]),
+    }
+
+
+def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
+    """Audit records against the bounds (see :class:`BoundReport`)."""
+    report = BoundReport()
+    for batch in _record_batches(records):
+        report._fold(_accumulate(batch))
     return report
 
 
@@ -346,6 +428,7 @@ def _columns_from_csv(path) -> Iterator[dict]:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise BadConfigError(f"unexpected CSV header in {path}")
+        line_no = 1  # lines read so far, the header included
         while True:
             rows = []
             for line in handle:
@@ -354,7 +437,10 @@ def _columns_from_csv(path) -> Iterator[dict]:
                     break
             if not rows:
                 return
-            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            data = _parse_rows(rows, path, line_no)
+            line_no += len(rows)
+            if not data.shape[0]:
+                continue
             yield {
                 "sample_id": data[:, 0].astype(np.int64),
                 "columns": data[:, 1:9],
@@ -365,20 +451,53 @@ def _columns_from_csv(path) -> Iterator[dict]:
             }
 
 
+def _parse_rows(rows: list, path, line_no: int) -> np.ndarray:
+    """Rows as an (n, 16) float array; ``line_no`` lines of the file precede them.
+
+    A row that is not 16 numbers raises BadConfigError naming the file and
+    its 1-based line.
+    """
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if data.shape[1] == _N_FIELDS or not data.shape[0]:
+            return data
+    except ValueError:
+        pass
+    for k, line in enumerate(rows, start=line_no + 1):
+        fields = line.split("#")[0].strip()
+        if not fields:
+            continue  # np.loadtxt skips blank and comment lines
+        fields = fields.split(",")
+        if len(fields) != _N_FIELDS:
+            raise BadConfigError(f"{path}, line {k}: expected {_N_FIELDS} fields, got {len(fields)}")
+        for value in fields:
+            try:
+                float(value)
+            except ValueError:
+                raise BadConfigError(f"{path}, line {k}: not a number: {value.strip()!r}") from None
+    raise BadConfigError(
+        f"{path}, lines {line_no + 1}-{line_no + len(rows)}: not a table of {_N_FIELDS} numbers"
+    )
+
+
 def verify_csv(path) -> BoundReport:
-    """Audit a sweep CSV file against the bounds, streaming."""
+    """Audit a sweep CSV file against the bounds, streaming.
+
+    Rows whose settings SchemeParams would refuse raise BadParameterError.
+    """
     report = BoundReport()
     for batch in _columns_from_csv(path):
+        _check_params(batch)
         report._fold(_accumulate(batch))
     return report
 
 
-def load_csv(path) -> list[SweepRecord]:
-    """Read a sweep CSV back into records."""
-    records: list[SweepRecord] = []
+def load_csv(path) -> SweepRecords:
+    """Read a sweep CSV back into records (see :class:`SweepRecords`)."""
+    batches: list[dict] = []
     for batch in _columns_from_csv(path):
-        _records_from_batch(batch, records)
-    return records
+        _records_from_batch(batch, batches)
+    return SweepRecords(batches)
 
 
 def saturating_config(pump_p: float) -> tuple[SchemeParams, float]:

@@ -124,6 +124,41 @@ def test_verify_flags_violations(capsys, tmp_path):
     assert parsed_values(out)["violations"] == "1"
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0, 0.5, 0.3, 0, 0, 0, 0, 1, 0, "nan", 0.75, 0.5, 1, 0, 0, 0],
+        # the stored bound_general (2.0) is not (1 + P)/2 = 0.7
+        [0, 0.4, 0.3, 0, 0, 0, 0, 1, 0, 1.5, 2.0, 0.4, 1, 0, 0, 0],
+    ],
+)
+def test_verify_fails_rows_that_break_the_bound(capsys, tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(str(x) for x in row) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 2
+    values = parsed_values(out)
+    assert values["violations"] == "1"
+    assert values["worst_slack"] != "inf"
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "line 3: expected 16 fields, got 15"),
+        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,x", "line 3: not a number: 'x'"),
+    ],
+)
+def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):
+    path = tmp_path / "malformed.csv"
+    good = "1,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"
+    path.write_text(CSV_HEADER + "\n" + good + "\n" + row + "\n")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}, {problem}\n"
+
+
 def test_channel_verify_valid_channel(capsys, tmp_path):
     ch = random_mixed_unitary_channel(3, seed=11)
     sigma = embed_pump(canonical_pump(0.5)).sigma

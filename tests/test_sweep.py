@@ -9,8 +9,10 @@ from pumplimit import (
     BadConfigError,
     BadParameterError,
     InvalidDensityMatrixError,
+    SchemeParams,
     SweepConfig,
     SweepRecord,
+    SweepRecords,
     build_density_matrix,
     concurrence,
     is_two_d,
@@ -21,7 +23,15 @@ from pumplimit import (
     verify_bounds,
     verify_csv,
 )
-from pumplimit.sweep import _BATCH, _RENDER_CHUNK, CSV_HEADER, _evaluate, _render_csv
+from pumplimit.sweep import (
+    _BATCH,
+    _RENDER_CHUNK,
+    COLUMNS,
+    CSV_HEADER,
+    _columns_from_csv,
+    _evaluate,
+    _render_csv,
+)
 
 
 @pytest.mark.parametrize(
@@ -248,3 +258,174 @@ def test_gate_failure_names_sample_id(monkeypatch):
     with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
         run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
     assert f"sample_id={_BATCH + bad[0]}:" in str(info.value)
+
+
+def _records_oracle(batch) -> list:
+    """The per-row record builder that column-backed records must match."""
+    out = []
+    cols = batch["columns"]
+    for i, sid in enumerate(batch["sample_id"]):
+        params = SchemeParams(**{name: cols[i, j] for j, name in enumerate(COLUMNS)})
+        out.append(
+            SweepRecord(
+                sample_id=int(sid),
+                params=params,
+                concurrence=float(batch["concurrence"][i]),
+                bound_general=float(batch["bound_general"][i]),
+                bound_2d=float(batch["bound_2d"][i]),
+                spectrum=batch["spectrum"][i].copy(),
+            )
+        )
+    return out
+
+
+def _assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a.sample_id) is int and a.sample_id == b.sample_id
+        assert a.params == b.params
+        for name in ("concurrence", "bound_general", "bound_2d"):
+            assert type(getattr(a, name)) is float
+            assert getattr(a, name) == getattr(b, name)
+        assert a.spectrum.dtype == b.spectrum.dtype and a.spectrum.shape == b.spectrum.shape
+        assert a.spectrum.tobytes() == b.spectrum.tobytes()
+
+
+def _report_key(report):
+    return (
+        report.n_records,
+        report.violations,
+        float(report.worst_slack).hex(),
+        float(report.max_general).hex(),
+        float(report.max_two_d).hex(),
+        report.decile_max.tobytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def two_batch_csv(tmp_path_factory):
+    """A general-mode sweep file that spans two parse batches."""
+    path = tmp_path_factory.mktemp("sweep") / "two_batch.csv"
+    report = sweep_to_csv(SweepConfig(n_samples=_BATCH + 37, seed=41), path)
+    return path, report
+
+
+def test_records_match_seed_oracle(two_batch_csv):
+    path, _ = two_batch_csv
+    cfg = SweepConfig(n_samples=_BATCH + 37, seed=41)
+    expected = _records_oracle(_evaluate(cfg, 0, _BATCH)) + _records_oracle(
+        _evaluate(cfg, _BATCH, cfg.n_samples)
+    )
+    _assert_same_records(run_sweep(cfg), expected)
+    loaded = [r for batch in _columns_from_csv(path) for r in _records_oracle(batch)]
+    _assert_same_records(load_csv(path), loaded)
+    _assert_same_records(loaded, expected)
+
+
+def test_sweep_records_sequence():
+    records = run_sweep(SweepConfig(n_samples=300, seed=12))
+    assert isinstance(records, SweepRecords)
+    assert len(records) == 300
+    assert records[-1].sample_id == records[299].sample_id == 299
+    assert records[np.int64(7)].sample_id == 7
+    part = records[100:250:50]
+    assert isinstance(part, SweepRecords)
+    assert [r.sample_id for r in part] == [100, 150, 200]
+    assert np.shares_memory(part._cols["concurrence"], records._cols["concurrence"])
+    assert [r.sample_id for r in records] == list(range(300))
+    assert len(records[300:]) == 0
+    for index in (300, -301):
+        with pytest.raises(IndexError):
+            records[index]
+    first = records[0]
+    first.spectrum[0] = -1.0  # every access hands out its own spectrum
+    assert records[0].spectrum[0] != -1.0
+
+
+@pytest.mark.parametrize("body", ["", "\n"])
+def test_header_only_csv_loads_empty(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text(CSV_HEADER + "\n" + body)
+    records = load_csv(path)
+    assert len(records) == 0
+    assert list(records) == []
+    report = verify_bounds(records)
+    assert report.n_records == 0
+    assert report.violations == 0
+    assert verify_csv(path).n_records == 0
+
+
+def test_verify_bounds_columns_match_records(two_batch_csv):
+    path, report = two_batch_csv
+    records = load_csv(path)
+    assert _report_key(verify_bounds(records)) == _report_key(verify_bounds(list(records)))
+    assert _report_key(verify_bounds(records)) == _report_key(report)
+    assert _report_key(verify_bounds(iter(records[::3]))) == _report_key(verify_bounds(list(records[::3])))
+
+
+def _with_row(path, out, sample_id, **values):
+    """Copy a sweep CSV to ``out`` with some fields of one row replaced."""
+    lines = path.read_text().splitlines(keepends=True)
+    names = CSV_HEADER.split(",")
+    fields = lines[sample_id + 1].rstrip("\n").split(",")
+    for name, value in values.items():
+        fields[names.index(name)] = str(value)
+    lines[sample_id + 1] = ",".join(fields) + "\n"
+    out.write_text("".join(lines))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [("pump_p", 1.5, "pump_p must be in \\[0, 1\\]"), ("theta1", "nan", "theta1 must be finite")],
+)
+def test_load_csv_rejects_bad_settings(two_batch_csv, tmp_path, name, value, match):
+    sample_id = _BATCH + 11
+    bad = _with_row(two_batch_csv[0], tmp_path / "bad.csv", sample_id, **{name: value})
+    with pytest.raises(BadParameterError, match=match) as info:
+        load_csv(bad)
+    assert f"sample_id={sample_id}:" in str(info.value)
+    with pytest.raises(BadParameterError, match=f"sample_id={sample_id}:"):
+        verify_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [dict(concurrence="nan"), dict(concurrence=1.5, pump_p=0.4, bound_general=2.0)],
+)
+def test_audit_flags_rows_that_break_the_bound(two_batch_csv, tmp_path, values):
+    bad = _with_row(two_batch_csv[0], tmp_path / "bad.csv", 5, **values)
+    for report in (verify_csv(bad), verify_bounds(load_csv(bad)), verify_bounds(list(load_csv(bad)))):
+        assert report.violations == 1
+        assert not report.worst_slack >= -1e-9
+    record = load_csv(bad)[5]
+    assert verify_bounds([record]).violations == 1
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "expected 16 fields, got 15"),
+        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,zero", "not a number: 'zero'"),
+    ],
+)
+def test_malformed_row_names_file_line(two_batch_csv, tmp_path, line, problem):
+    lines = two_batch_csv[0].read_text().splitlines(keepends=True)
+    lines[_BATCH + 20] = line + "\n"  # file line _BATCH + 21, in the second batch
+    bad = tmp_path / "malformed.csv"
+    bad.write_text("".join(lines))
+    for read in (load_csv, verify_csv):
+        with pytest.raises(BadConfigError) as info:
+            read(bad)
+        assert str(info.value) == f"{bad}, line {_BATCH + 21}: {problem}"
+
+
+def test_rows_all_short_or_unparsable_are_rejected(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n" + "0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0\n" * 3)
+    with pytest.raises(BadConfigError, match="line 2: expected 16 fields, got 15"):
+        load_csv(path)
+    # float() takes "1_0" but np.loadtxt does not: the error names the batch's lines
+    path.write_text(CSV_HEADER + "\n" + "1_0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n" * 3)
+    with pytest.raises(BadConfigError, match="lines 2-4: not a table of 16 numbers"):
+        load_csv(path)
