@@ -19,7 +19,6 @@ from .linalg import (
     dagger,
     generator_from_seed,
     haar_unitary,
-    max_abs,
     validate_density_matrix,
 )
 
@@ -72,9 +71,10 @@ def validate_doubly_stochastic(ch: KrausChannel, tol: float = CHANNEL_TOL):
     within ``tol`` in max norm.
     """
     eye = np.eye(4)
-    tp_sum = sum(dagger(m) @ m for m in ch.operators)
-    un_sum = sum(m @ dagger(m) for m in ch.operators)
-    return bool(max_abs(tp_sum - eye) <= tol), bool(max_abs(un_sum - eye) <= tol)
+    adj = dagger(ch.stack)
+    tp_sum = np.sum(adj @ ch.stack, axis=0)
+    un_sum = np.sum(ch.stack @ adj, axis=0)
+    return bool(np.abs(tp_sum - eye).max() <= tol), bool(np.abs(un_sum - eye).max() <= tol)
 
 
 def apply_channel(ch: KrausChannel, state) -> np.ndarray:

@@ -27,7 +27,7 @@ from .serialize import (
     save_matrix,
 )
 from .sweep import BOUND_TOL, SweepConfig, saturating_config, sweep_to_csv, verify_csv
-from .twoqubit import concurrence, wootters_spectrum
+from .twoqubit import _concurrence_from_s, concurrence, wootters_spectrum
 
 
 def _fmt(x) -> str:
@@ -45,8 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_concurrence(args) -> int:
     rho = load_matrix(args.infile)
     s = wootters_spectrum(rho)
-    value = max(0.0, s[0] - s[1] - s[2] - s[3])
-    print(f"concurrence = {_fmt(value)}")
+    print(f"concurrence = {_fmt(_concurrence_from_s(*s))}")
     for i in range(4):
         print(f"s{i + 1} = {_fmt(s[i])}")
     return 0

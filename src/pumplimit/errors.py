@@ -5,14 +5,6 @@ class PumpLimitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitianError(PumpLimitError):
-    """Matrix is not Hermitian within the requested tolerance."""
-
-
-class NotPSDError(PumpLimitError):
-    """Matrix has an eigenvalue below the negativity tolerance."""
-
-
 class NoConvergenceError(PumpLimitError):
     """The eigensolver failed to converge."""
 
@@ -28,11 +20,22 @@ class BadDimensionError(PumpLimitError):
 class InvalidDensityMatrixError(PumpLimitError):
     """Matrix fails the density-matrix checks (Hermitian, unit trace, PSD).
 
+    A broken trace raises this class; the Hermiticity and PSD rules raise
+    its subclasses NotHermitianError and NotPSDError.
+
     ``index`` is the flat position, in the checked stack, of the first state
     that failed; None when the error does not come from a stack check.
     """
 
     index: int | None = None
+
+
+class NotHermitianError(InvalidDensityMatrixError):
+    """Matrix is not Hermitian within the requested tolerance (or has a NaN)."""
+
+
+class NotPSDError(InvalidDensityMatrixError):
+    """Matrix has an eigenvalue below the negativity tolerance."""
 
 
 class InvalidSpectrumError(PumpLimitError):

@@ -12,6 +12,8 @@ reproducible across platforms and processes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -29,21 +31,21 @@ SUPPORTED_DIMS = (2, 4)
 
 #: default max-norm budget for Hermiticity preconditions
 HERMITIAN_TOL = 1e-10
+#: default budget for the distance of a trace from one
+TRACE_TOL = 1e-10
 #: eigenvalues in [-PSD_TOL, 0) are rounding noise and clamp to zero;
 #: anything below -PSD_TOL is treated as genuinely invalid input
 PSD_TOL = 1e-10
 #: identifier of the deterministic RNG (fixed; part of the CLI version string)
 RNG_ALGORITHM = "philox4x64-10"
+#: below this pure-part weight the polarized direction is considered
+#: degenerate and the convention vector (1, 0) is returned
+_DEGENERATE_P = 1e-15
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; stack-aware (swaps the last two axes)."""
     return np.conj(np.swapaxes(a, -1, -2))
-
-
-def max_abs(a) -> float:
-    """Largest entry magnitude (entrywise max norm)."""
-    return float(np.max(np.abs(a)))
 
 
 def as_matrix(m, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
@@ -56,16 +58,6 @@ def as_matrix(m, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
             f"unsupported dimension {a.shape[0]}, expected one of {dims}"
         )
     return a
-
-
-def hermiticity_defect(m) -> float:
-    """Max-norm distance from ``m`` to its conjugate transpose."""
-    a = np.asarray(m, dtype=complex)
-    return max_abs(a - dagger(a))
-
-
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
 
 
 def _eigh(a):
@@ -83,51 +75,28 @@ def _eigvalsh(a):
         raise NoConvergenceError(str(exc)) from exc
 
 
-def _eigh_desc(a):
-    """Eigenvalues sorted non-ascending with matching eigenvector columns."""
-    w, v = _eigh(a)
-    return w[..., ::-1], v[..., :, ::-1]
-
-
-def hermitian_eig(m, tol: float = HERMITIAN_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix of dimension 2 or 4, Hermitian within ``tol``.
-    tol : float
-        Allowed max-norm Hermiticity defect.
-
-    Returns
-    -------
-    (values, vectors)
-        Real eigenvalues sorted non-ascending and the matching eigenvector
-        columns of a unitary matrix, so ``m = vectors @ diag(values) @
-        vectors^dag`` up to rounding.
+    ``m`` is a square matrix of dimension 2 or 4, Hermitian within
+    :data:`HERMITIAN_TOL` (the Hermiticity rule of :func:`check_states`;
+    a NaN entry breaks it).  Returns ``(values, vectors)``: real eigenvalues
+    sorted non-ascending and the matching eigenvector columns of a unitary
+    matrix, so ``m = vectors @ diag(values) @ vectors^dag`` up to rounding.
     """
-    a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return _eigh_desc((a + dagger(a)) / 2.0)
+    _, (w, v) = check_states(as_matrix(m), trace_tol=math.inf, eig_floor=math.inf, vectors=True)
+    return w[::-1], v[:, ::-1]
 
 
-def clamp_spectrum(w, floor: float = PSD_TOL) -> np.ndarray:
-    """Zero out small negative eigenvalues; reject genuinely negative ones."""
-    w = np.asarray(w, dtype=float)
-    low = float(np.min(w))
-    if low < -floor:
-        raise NotPSDError(f"eigenvalue {low:.3e} below -{floor:.0e}")
-    return np.where(w < 0.0, 0.0, w)
+def sqrt_psd(m) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.
 
-
-def sqrt_psd(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix."""
-    w, v = hermitian_eig(m, tol=tol)
-    root = (v * np.sqrt(clamp_spectrum(w))) @ dagger(v)
+    The Hermiticity and PSD rules of :func:`check_states` apply; eigenvalues
+    in ``[-PSD_TOL, 0)`` are rounding noise and count as zero.
+    """
+    _, (w, v) = check_states(as_matrix(m), trace_tol=math.inf, vectors=True)
+    w, v = w[::-1], v[:, ::-1]
+    root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))) @ dagger(v)
     return (root + dagger(root)) / 2.0
 
 
@@ -178,11 +147,25 @@ def phase_fixed(v) -> np.ndarray:
     return v * (np.conj(v[k]) / mag)
 
 
+def polarized_part(w, v) -> tuple[float, np.ndarray]:
+    """Split a 2x2 state into ``p |psi><psi| + (1 - p) I/2``.
+
+    ``(w, v)`` is the state's ``eigh``, eigenvalues ascending.  ``p`` is the
+    eigenvalue gap clipped to [0, 1] and ``psi`` the top eigenvector with
+    its phase fixed; below ``_DEGENERATE_P`` the direction is arbitrary and
+    (1, 0) is returned by convention.
+    """
+    p = float(min(max(w[1] - w[0], 0.0), 1.0))
+    if p < _DEGENERATE_P:
+        return p, np.array([1.0, 0.0], dtype=complex)
+    return p, phase_fixed(v[:, 1])
+
+
 def check_states(
     m,
     dims: tuple[int, ...] = SUPPORTED_DIMS,
     herm_tol: float = HERMITIAN_TOL,
-    trace_tol: float = 1e-10,
+    trace_tol: float = TRACE_TOL,
     eig_floor: float = PSD_TOL,
     vectors: bool = False,
 ):
@@ -196,10 +179,15 @@ def check_states(
     ``vectors``, ``(h, (w, v))``, eigenvalues ascending, so that callers
     reuse the one decomposition.
 
+    This is the one place where the Hermiticity, trace and PSD rules are
+    applied; every other check and decomposition in the package calls it.
+    An infinite tolerance switches its rule off.
+
     A broken shape raises DimensionMismatchError.  A broken rule raises
-    InvalidDensityMatrixError whose ``index`` is the flat position, over the
-    leading axes, of the first state that breaks it.  A NaN entry breaks the
-    Hermiticity rule.
+    InvalidDensityMatrixError (NotHermitianError for the Hermiticity rule,
+    NotPSDError for the PSD rule) whose ``index`` is the flat position, over
+    the leading axes, of the first state that breaks it.  A NaN entry breaks
+    the Hermiticity rule.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
@@ -209,25 +197,28 @@ def check_states(
     # each rule is tested on the whole stack first; the per-state pass that
     # finds the offender runs only on failure
     adj = dagger(a)
-    if not np.abs(a - adj).max() <= herm_tol:
+    if herm_tol < math.inf and not np.abs(a - adj).max() <= herm_tol:
         defect = np.abs(a - adj).max(axis=(-2, -1))
-        _reject(defect <= herm_tol, defect, f"not Hermitian: defect {{:.3e}} exceeds {herm_tol:.1e}")
-    tr = a.trace(axis1=-2, axis2=-1)
-    if not np.abs(tr - 1.0).max() <= trace_tol:
-        _reject(np.abs(tr - 1.0) <= trace_tol, tr, f"trace {{:.12g}} is not 1 within {trace_tol:.1e}")
+        message = f"not Hermitian: defect {{:.3e}} exceeds {herm_tol:.1e}"
+        _reject(NotHermitianError, defect <= herm_tol, defect, message)
+    if trace_tol < math.inf:
+        tr = a.trace(axis1=-2, axis2=-1)
+        if not np.abs(tr - 1.0).max() <= trace_tol:
+            message = f"trace {{:.12g}} is not 1 within {trace_tol:.1e}"
+            _reject(InvalidDensityMatrixError, np.abs(tr - 1.0) <= trace_tol, tr, message)
     h = a + adj
     h /= 2.0
     eig = _eigh(h) if vectors else _eigvalsh(h)
     low = (eig[0] if vectors else eig)[..., 0]
     if not low.min() >= -eig_floor:
-        _reject(low >= -eig_floor, low, "negative eigenvalue {:.3e}")
+        _reject(NotPSDError, low >= -eig_floor, low, "negative eigenvalue {:.3e}")
     return h, eig
 
 
-def _reject(ok, values, message: str):
-    """Raise for the first ``False`` in ``ok``, formatting its entry of ``values``."""
+def _reject(error, ok, values, message: str):
+    """Raise ``error`` for the first ``False`` in ``ok``, formatting its entry of ``values``."""
     index = int(np.argmin(np.ravel(ok)))
-    exc = InvalidDensityMatrixError(message.format(np.ravel(values)[index]))
+    exc = error(message.format(np.ravel(values)[index]))
     exc.index = index
     raise exc
 
@@ -236,19 +227,18 @@ def validate_density_matrix(
     m,
     dim: int | None = None,
     herm_tol: float = HERMITIAN_TOL,
-    trace_tol: float = 1e-10,
-    eig_floor: float = PSD_TOL,
+    trace_tol: float = TRACE_TOL,
 ) -> np.ndarray:
     """Check the density-matrix invariants and return the spectrum.
 
     Verifies Hermiticity, unit trace and positive semidefiniteness (within
-    ``eig_floor``) with :func:`check_states`; returns the eigenvalues sorted
-    non-ascending.  Raises InvalidDensityMatrixError on any violation.
+    :data:`PSD_TOL`) with :func:`check_states`; returns the eigenvalues
+    sorted non-ascending.  Raises InvalidDensityMatrixError on any violation.
     """
     a = as_matrix(m)
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    _, w = check_states(a, herm_tol=herm_tol, trace_tol=trace_tol, eig_floor=eig_floor)
+    _, w = check_states(a, herm_tol=herm_tol, trace_tol=trace_tol)
     return w[::-1]
 
 

@@ -15,20 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .linalg import (
-    _eigh_desc,
-    as_matrix,
-    dagger,
-    phase_fixed,
-    validate_density_matrix,
-)
+from .linalg import as_matrix, check_states, polarized_part, validate_density_matrix
 
 J_HERMITIAN_TOL = 1e-12
 J_TRACE_TOL = 1e-12
-
-#: below this pure-part weight the polarized direction is considered
-#: degenerate and the convention vector (1, 0) is returned
-_DEGENERATE_P = 1e-15
 
 
 def validate_polarization_matrix(j) -> np.ndarray:
@@ -87,13 +77,8 @@ def polar_decompose(j) -> PolarizationDecomposition:
     so the choice carries no physical content).
     """
     a = as_matrix(j, dims=(2,))
-    validate_polarization_matrix(a)
-    w, v = _eigh_desc((a + dagger(a)) / 2.0)
-    p = float(min(max(w[0] - w[1], 0.0), 1.0))
-    if p < _DEGENERATE_P:
-        psi = np.array([1.0, 0.0], dtype=complex)
-    else:
-        psi = phase_fixed(v[:, 0])
+    _, eig = check_states(a, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL, vectors=True)
+    p, psi = polarized_part(*eig)
     return PolarizationDecomposition(p=p, pure_state=psi, unpolarized_weight=1.0 - p)
 
 

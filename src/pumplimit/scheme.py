@@ -207,7 +207,7 @@ def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
     try:
         check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
-        raise InvalidDensityMatrixError(f"{origin}: {exc}") from exc
+        raise type(exc)(f"{origin}: {exc}") from exc
     return rho
 
 

@@ -47,15 +47,23 @@ def matrix_from_json(obj) -> np.ndarray:
     return re + 1j * im
 
 
-def save_matrix(path, m) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="ascii") as handle:
-        json.dump(matrix_to_json(m), handle, indent=2)
+        json.dump(obj, handle, indent=2)
         handle.write("\n")
 
 
-def load_matrix(path) -> np.ndarray:
+def _read_json(path):
     with open(path, "r", encoding="ascii") as handle:
-        return matrix_from_json(json.load(handle))
+        return json.load(handle)
+
+
+def save_matrix(path, m) -> None:
+    _write_json(path, matrix_to_json(m))
+
+
+def load_matrix(path) -> np.ndarray:
+    return matrix_from_json(_read_json(path))
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
@@ -77,14 +85,11 @@ def channel_from_json(obj) -> KrausChannel:
 
 
 def save_channel(path, ch: KrausChannel) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(channel_to_json(ch), handle, indent=2)
-        handle.write("\n")
+    _write_json(path, channel_to_json(ch))
 
 
 def load_channel(path) -> KrausChannel:
-    with open(path, "r", encoding="ascii") as handle:
-        return channel_from_json(json.load(handle))
+    return channel_from_json(_read_json(path))
 
 
 def params_to_json(params: SchemeParams) -> dict:
@@ -108,11 +113,8 @@ def params_from_json(obj) -> SchemeParams:
 
 
 def save_params(path, params: SchemeParams) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(params_to_json(params), handle, indent=2)
-        handle.write("\n")
+    _write_json(path, params_to_json(params))
 
 
 def load_params(path) -> SchemeParams:
-    with open(path, "r", encoding="ascii") as handle:
-        return params_from_json(json.load(handle))
+    return params_from_json(_read_json(path))

@@ -16,7 +16,8 @@ bytes of the file, not just its values, are the reproducibility contract.
 sequence backed by column arrays: each :class:`SweepRecord` is built when it
 is accessed, and :func:`verify_bounds` audits the columns without building
 any.  The audit recomputes both bounds from ``pump_p`` and trusts no stored
-bound column; a NaN slack counts as a violation.
+bound column; a NaN slack counts as a violation.  A CSV is read only if its
+``sample_id``s are nonnegative integers that strictly increase down the file.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError
-from .scheme import SchemeParams
-from .twoqubit import _wootters_stack, concurrence
+from .scheme import _UNIT_INTERVAL, SchemeParams
+from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
 CSV_HEADER = (
     "sample_id,pump_p,t,theta1,theta2,alpha1,alpha2,mu,gamma0,"
@@ -76,7 +78,6 @@ _BATCH = 8192
 _RENDER_CHUNK = 1024
 _ROW = "%d" + ",%.17g" * 15 + "\n"
 _N_FIELDS = CSV_HEADER.count(",") + 1
-_UNIT_INTERVAL = ("pump_p", "t", "mu")
 _UNIT_INDEX = [COLUMNS.index(name) for name in _UNIT_INTERVAL]
 _P, _T = COLUMNS.index("pump_p"), COLUMNS.index("t")
 
@@ -220,8 +221,8 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int):
     try:
         spectra, s = _wootters_stack(rhos, trace_tol=scheme.BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
-        raise InvalidDensityMatrixError(f"sweep: sample_id={start + exc.index}: {exc}") from exc
-    conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+        raise type(exc)(f"sweep: sample_id={start + exc.index}: {exc}") from exc
+    conc = _concurrence_from_s(*s.T)
     return {
         "sample_id": np.arange(start, stop, dtype=np.int64),
         "columns": cols,
@@ -424,25 +425,22 @@ def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
 
 
 def _columns_from_csv(path) -> Iterator[dict]:
+    """The file's rows, _BATCH lines at a time, as the column dict of a batch."""
     with open(path, "r", encoding="ascii") as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
             raise BadConfigError(f"unexpected CSV header in {path}")
         line_no = 1  # lines read so far, the header included
-        while True:
-            rows = []
-            for line in handle:
-                rows.append(line)
-                if len(rows) >= _BATCH:
-                    break
-            if not rows:
-                return
-            data = _parse_rows(rows, path, line_no)
+        last_id = -1.0
+        while rows := list(islice(handle, _BATCH)):
+            data, lines = _parse_rows(rows, path, line_no)
             line_no += len(rows)
-            if not data.shape[0]:
+            if not len(data):
                 continue
+            ids = _sample_ids(data[:, 0], lines, path, last_id)
+            last_id = data[-1, 0]
             yield {
-                "sample_id": data[:, 0].astype(np.int64),
+                "sample_id": ids,
                 "columns": data[:, 1:9],
                 "concurrence": data[:, 9],
                 "bound_general": data[:, 10],
@@ -451,23 +449,32 @@ def _columns_from_csv(path) -> Iterator[dict]:
             }
 
 
-def _parse_rows(rows: list, path, line_no: int) -> np.ndarray:
-    """Rows as an (n, 16) float array; ``line_no`` lines of the file precede them.
+def _is_row(line: str) -> bool:
+    """Whether a line holds data: blank and ``#`` comment lines do not."""
+    return line.lstrip()[:1] not in ("", "#")
 
-    A row that is not 16 numbers raises BadConfigError naming the file and
-    its 1-based line.
+
+def _parse_rows(rows: list, path, line_no: int):
+    """The data rows as an (n, 16) float array, with their 1-based file lines.
+
+    ``line_no`` lines of the file precede ``rows``.  Blank (whitespace-only)
+    and ``#`` comment lines are skipped.  A row that is not 16 numbers
+    raises BadConfigError naming the file and its line.
     """
-    try:
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        if data.shape[1] == _N_FIELDS or not data.shape[0]:
-            return data
-    except ValueError:
-        pass
-    for k, line in enumerate(rows, start=line_no + 1):
-        fields = line.split("#")[0].strip()
-        if not fields:
-            continue  # np.loadtxt skips blank and comment lines
-        fields = fields.split(",")
+    lines = range(line_no + 1, line_no + 1 + len(rows))
+    # the common batch, all data, is read with no per-line work in Python;
+    # np.loadtxt warns on a batch without data, so one that starts with a
+    # blank or comment line goes straight to the filter
+    if _is_row(rows[0]) and (data := _table(rows)) is not None:
+        return data, lines
+    lines = [k for k, line in zip(lines, rows) if _is_row(line)]
+    rows = [line for line in rows if _is_row(line)]
+    if not rows:
+        return np.empty((0, _N_FIELDS)), lines
+    if (data := _table(rows)) is not None:
+        return data, lines
+    for k, line in zip(lines, rows):
+        fields = line.split("#")[0].split(",")
         if len(fields) != _N_FIELDS:
             raise BadConfigError(f"{path}, line {k}: expected {_N_FIELDS} fields, got {len(fields)}")
         for value in fields:
@@ -476,8 +483,37 @@ def _parse_rows(rows: list, path, line_no: int) -> np.ndarray:
             except ValueError:
                 raise BadConfigError(f"{path}, line {k}: not a number: {value.strip()!r}") from None
     raise BadConfigError(
-        f"{path}, lines {line_no + 1}-{line_no + len(rows)}: not a table of {_N_FIELDS} numbers"
+        f"{path}, lines {lines[0]}-{lines[-1]}: not a table of {_N_FIELDS} numbers"
     )
+
+
+def _table(rows: list):
+    """The rows as an (n, 16) float array, or None if np.loadtxt reads anything else."""
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(rows), _N_FIELDS) else None
+
+
+def _sample_ids(column: np.ndarray, lines: Sequence[int], path, last: float) -> np.ndarray:
+    """The parsed sample_id column as int64, checked against the file order.
+
+    Every id must be a nonnegative integer above the id before it, ``last``
+    for the first row of a batch (-1 at the top of the file); the first
+    row that breaks the rule raises BadConfigError naming its file line.
+    """
+    before = np.concatenate(([last], column[:-1]))
+    whole = (column >= 0.0) & (column < 2.0**63) & (np.floor(column) == column)
+    ok = whole & (column > before)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if whole[i]:
+            problem = f"sample_id {int(column[i])} after {int(before[i])}: ids must strictly increase"
+        else:
+            problem = f"sample_id {float(column[i])!r} is not a nonnegative integer"
+        raise BadConfigError(f"{path}, line {lines[i]}: {problem}")
+    return column.astype(np.int64)
 
 
 def verify_csv(path) -> BoundReport:

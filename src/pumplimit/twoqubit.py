@@ -19,22 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSDError, NotTwoDError
+from .errors import NotTwoDError
 from .linalg import (
-    _eigh_desc,
-    _eigvalsh,
+    TRACE_TOL,
+    _eigh,
     as_matrix,
     check_states,
     dagger,
-    phase_fixed,
+    polarized_part,
     validate_density_matrix,
     validate_spectrum,
 )
 
 BASIS = ("HH", "HV", "VH", "VV")
 
-RHO_HERMITIAN_TOL = 1e-10
-RHO_TRACE_TOL = 1e-10
 #: default threshold for detecting two-level support
 TWO_D_TOL = 1e-10
 #: validity floor for the eigenvalues entering the concurrence square roots
@@ -42,7 +40,6 @@ _SQRT_CLAMP = 1e-12
 #: eigenvalues below this fraction of the largest are rank-deficiency noise;
 #: square-rooting them would turn O(eps) rounding into O(sqrt(eps)) bias
 _SQRT_REL_FLOOR = 1e-12
-_DEGENERATE_P = 1e-15
 
 # sigma_y (x) sigma_y in this basis: constant anti-diagonal (-1, 1, 1, -1)
 _SPIN_FLIP = np.array(
@@ -56,43 +53,32 @@ _SPIN_FLIP = np.array(
 )
 
 
-def validate_two_qubit_state(rho) -> np.ndarray:
-    """Check the density-matrix invariants; return the spectrum (desc)."""
-    return validate_density_matrix(
-        rho, dim=4, herm_tol=RHO_HERMITIAN_TOL, trace_tol=RHO_TRACE_TOL
-    )
-
-
 def spin_flip(rho) -> np.ndarray:
     """The spin-flipped state ``(sy x sy) rho* (sy x sy)``."""
     a = as_matrix(rho, dims=(4,))
-    validate_two_qubit_state(a)
+    validate_density_matrix(a)
     return _SPIN_FLIP @ np.conj(a) @ _SPIN_FLIP
 
 
-def _wootters_stack(
-    rhos: np.ndarray, herm_tol: float = RHO_HERMITIAN_TOL, trace_tol: float = RHO_TRACE_TOL
-):
+def _wootters_stack(rhos: np.ndarray, trace_tol: float = TRACE_TOL):
     """Check a stack of states, then return its spectrum and s-values.
 
     The density-matrix rules of :func:`~pumplimit.linalg.check_states` are
-    applied with the given tolerances; the Hermitian part and the ``eigh``
-    that the check returns also give rho~ and sqrt(rho).  Returns
-    ``(spectrum, s)`` where ``spectrum`` holds the eigenvalues of each rho
-    and ``s`` the square roots of the eigenvalues of sqrt(rho) rho~
-    sqrt(rho), both sorted non-ascending along the last axis.
+    applied with the given trace budget; the Hermitian part and the ``eigh``
+    that the check returns also give rho~ and sqrt(rho).  The PSD rule of
+    the same check, with floor ``_SQRT_CLAMP``, guards the Hermitian part of
+    sqrt(rho) rho~ sqrt(rho).  Returns ``(spectrum, s)`` where ``spectrum``
+    holds the eigenvalues of each rho and ``s`` the square roots of the
+    eigenvalues of sqrt(rho) rho~ sqrt(rho), both sorted non-ascending
+    along the last axis.
     """
-    h, (w, v) = check_states(
-        rhos, dims=(4,), herm_tol=herm_tol, trace_tol=trace_tol, vectors=True
-    )
+    h, (w, v) = check_states(rhos, dims=(4,), trace_tol=trace_tol, vectors=True)
     root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ dagger(v)
-    m = root @ (_SPIN_FLIP @ np.conj(h) @ _SPIN_FLIP) @ root
-    m += dagger(m)  # in place: one 4x4 stack fewer alive at the sweep's peak
-    m /= 2.0
-    ev = _eigvalsh(m)
-    low = float(np.min(ev))
-    if low < -_SQRT_CLAMP:
-        raise NotPSDError(f"spin-flip product eigenvalue {low:.3e} below -{_SQRT_CLAMP:.0e}")
+    product = root @ (_SPIN_FLIP @ np.conj(h) @ _SPIN_FLIP) @ root
+    del h, v, root  # three 4x4 stacks fewer alive at the sweep's peak
+    _, ev = check_states(
+        product, dims=(4,), herm_tol=math.inf, trace_tol=math.inf, eig_floor=_SQRT_CLAMP
+    )
     floor = np.maximum(ev[..., -1:], 0.0) * _SQRT_REL_FLOOR
     s = np.sqrt(np.where(ev <= floor, 0.0, ev))
     return w[..., ::-1], s[..., ::-1]
@@ -108,27 +94,27 @@ def wootters_spectrum(rho) -> np.ndarray:
     return _wootters_stack(a[None])[1][0]
 
 
+def _concurrence_from_s(s1, s2, s3, s4):
+    """``max(0, s1 - s2 - s3 - s4)``, elementwise, for s-values sorted non-ascending."""
+    return np.maximum(0.0, s1 - s2 - s3 - s4)
+
+
 def concurrence(rho) -> float:
     """Concurrence of a two-qubit state: ``max(0, s1 - s2 - s3 - s4)``.
 
     Zero for separable states, one for Bell states; invariant under local
     unitaries on either photon.
     """
-    s = wootters_spectrum(rho)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    return float(_concurrence_from_s(*wootters_spectrum(rho)))
 
 
-def concurrence_many(rhos, validate: bool = True) -> np.ndarray:
+def concurrence_many(rhos) -> np.ndarray:
     """Concurrence over a stack of states, shape ``(..., 4, 4) -> (...,)``.
 
     Vectorized equivalent of :func:`concurrence`, with the same per-state
-    checks.  ``validate=False`` skips the Hermiticity and trace rules; the
-    shape and PSD rules, which the s-values need, always apply.
+    checks.
     """
-    a = np.asarray(rhos, dtype=complex)
-    tols = {} if validate else {"herm_tol": math.inf, "trace_tol": math.inf}
-    _, s = _wootters_stack(a, **tols)
-    return np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    return _concurrence_from_s(*np.moveaxis(_wootters_stack(rhos)[1], -1, 0))
 
 
 def unitary_max_concurrence(spectrum) -> float:
@@ -204,7 +190,7 @@ def two_d_decompose(rho, tol: float = TWO_D_TOL) -> TwoDDecomposition:
     is padded with the lowest free basis index.
     """
     a = as_matrix(rho, dims=(4,))
-    validate_two_qubit_state(a)
+    validate_density_matrix(a)
     over = _support_indices(a, tol)
     if over.size > 2:
         raise NotTwoDError(f"{over.size} diagonal entries exceed {tol:.1e}")
@@ -219,10 +205,5 @@ def two_d_decompose(rho, tol: float = TWO_D_TOL) -> TwoDDecomposition:
     if mass > tol:
         raise NotTwoDError(f"off-support entry of magnitude {mass:.3e} exceeds {tol:.1e}")
     block = a[np.ix_(support, support)]
-    w, v = _eigh_desc((block + dagger(block)) / 2.0)
-    p_tilde = float(min(max(w[0] - w[1], 0.0), 1.0))
-    if p_tilde < _DEGENERATE_P:
-        psi = np.array([1.0, 0.0], dtype=complex)
-    else:
-        psi = phase_fixed(v[:, 0])
+    p_tilde, psi = polarized_part(*_eigh((block + dagger(block)) / 2.0))
     return TwoDDecomposition(support_indices=support, p_tilde=p_tilde, pure_state=psi)

@@ -147,6 +147,11 @@ def test_verify_fails_rows_that_break_the_bound(capsys, tmp_path, row):
     [
         ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "line 3: expected 16 fields, got 15"),
         ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,x", "line 3: not a number: 'x'"),
+        (
+            "1,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0",
+            "line 3: sample_id 1 after 1: ids must strictly increase",
+        ),
+        ("1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0", "line 3: sample_id 1.7 is not a nonnegative integer"),
     ],
 )
 def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):
@@ -157,6 +162,19 @@ def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):
     assert code == 1
     assert out == ""
     assert err == f"error: {path}, {problem}\n"
+
+
+def test_verify_of_blank_body_warns_nothing(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(CSV_HEADER + "\n\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pumplimit", "verify", "--in", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "records = 0" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_channel_verify_valid_channel(capsys, tmp_path):

@@ -44,6 +44,13 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(m)
 
 
+def test_nan_breaks_the_hermiticity_rule():
+    m = np.diag([np.nan, 1.0])
+    for decompose in (hermitian_eig, sqrt_psd):
+        with pytest.raises(NotHermitianError):
+            decompose(m)
+
+
 def test_hermitian_eig_rejects_unsupported_dim():
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.eye(3))
@@ -176,12 +183,23 @@ def test_validate_spectrum_rejects(values):
 
 
 def test_check_states_names_first_failing_state():
-    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (6, 1, 1))
-    for k in (2, 4):
-        stack[k] = np.diag([1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
-        check_states(stack)
-    assert info.value.index == 2
+    off_diagonal = np.diag([0.25] * 4).astype(complex)
+    off_diagonal[0, 1] = 0.1
+    rules = [
+        # (bad state, the rule's error class, message)
+        (np.diag([1.5, -0.5, 0.0, 0.0]), NotPSDError, "negative eigenvalue"),
+        (off_diagonal, NotHermitianError, "not Hermitian"),
+        (np.diag([np.nan, 0.0, 0.0, 1.0]), NotHermitianError, "not Hermitian"),
+        (np.eye(4) / 2.0, InvalidDensityMatrixError, "trace .* is not 1"),
+    ]
+    for bad, error, match in rules:
+        stack = np.tile(np.eye(4, dtype=complex) / 4.0, (6, 1, 1))
+        for k in (2, 4):
+            stack[k] = bad
+        with pytest.raises(error, match=match) as info:
+            check_states(stack)
+        assert type(info.value) is error and isinstance(info.value, InvalidDensityMatrixError)
+        assert info.value.index == 2
     h, (w, v) = check_states(stack[:2], vectors=True)
     np.testing.assert_array_equal(h, stack[:2])
     np.testing.assert_allclose(w, np.full((2, 4), 0.25), atol=1e-15)

@@ -429,3 +429,53 @@ def test_rows_all_short_or_unparsable_are_rejected(tmp_path):
     path.write_text(CSV_HEADER + "\n" + "1_0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n" * 3)
     with pytest.raises(BadConfigError, match="lines 2-4: not a table of 16 numbers"):
         load_csv(path)
+
+
+_TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its sample_id
+
+
+@pytest.mark.parametrize(
+    "ids, problem",
+    [
+        (["0", "0", "1.7"], "line 3: sample_id 0 after 0: ids must strictly increase"),
+        (["0", "1.7"], "line 3: sample_id 1.7 is not a nonnegative integer"),
+        (["0", "5", "4"], "line 4: sample_id 4 after 5: ids must strictly increase"),
+        (["0", "", "0"], "line 4: sample_id 0 after 0: ids must strictly increase"),
+        (["-1"], "line 2: sample_id -1.0 is not a nonnegative integer"),
+        (["nan"], "line 2: sample_id nan is not a nonnegative integer"),
+        (["1e30"], "line 2: sample_id 1e+30 is not a nonnegative integer"),
+    ],
+)
+def test_bad_sample_ids_are_rejected(tmp_path, ids, problem):
+    path = tmp_path / "ids.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(f"{i},{_TAIL}\n" if i else "\n" for i in ids))
+    for read in (load_csv, verify_csv):
+        with pytest.raises(BadConfigError) as info:
+            read(path)
+        assert str(info.value) == f"{path}, {problem}"
+
+
+def test_repeated_sample_id_across_batches_is_rejected(two_batch_csv, tmp_path):
+    # the first row of the second batch repeats the last id of the first
+    lines = two_batch_csv[0].read_text().splitlines(keepends=True)
+    lines[_BATCH + 1] = lines[_BATCH + 1].replace(f"{_BATCH},", f"{_BATCH - 1},", 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    for read in (load_csv, verify_csv):
+        with pytest.raises(BadConfigError) as info:
+            read(bad)
+        assert str(info.value) == (
+            f"{bad}, line {_BATCH + 2}: sample_id {_BATCH - 1} after {_BATCH - 1}: "
+            "ids must strictly increase"
+        )
+
+
+def test_blank_and_comment_lines_keep_file_line_numbers(tmp_path):
+    path = tmp_path / "gaps.csv"
+    body = f"0,{_TAIL}\n\n# a comment\n   \n1,{_TAIL}\n2,0.5,0.3\n"
+    path.write_text(CSV_HEADER + "\n" + body)
+    with pytest.raises(BadConfigError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}, line 7: expected 16 fields, got 3"
+    path.write_text(CSV_HEADER + "\n" + body.replace("2,0.5,0.3\n", ""))
+    assert [r.sample_id for r in load_csv(path)] == [0, 1]
