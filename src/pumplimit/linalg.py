@@ -205,7 +205,7 @@ def check_states(
         tr = a.trace(axis1=-2, axis2=-1)
         if not np.abs(tr - 1.0).max() <= trace_tol:
             message = f"trace {{:.12g}} is not 1 within {trace_tol:.1e}"
-            _reject(InvalidDensityMatrixError, np.abs(tr - 1.0) <= trace_tol, tr, message)
+            _reject(InvalidDensityMatrixError, np.abs(tr - 1.0) <= trace_tol, tr.real, message)
     h = a + adj
     h /= 2.0
     eig = _eigh(h) if vectors else _eigvalsh(h)

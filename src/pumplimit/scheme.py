@@ -207,7 +207,9 @@ def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
     try:
         check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
-        raise type(exc)(f"{origin}: {exc}") from exc
+        failure = type(exc)(f"{origin}: {exc}")
+        failure.index = exc.index
+        raise failure from exc
     return rho
 
 

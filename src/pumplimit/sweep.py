@@ -8,22 +8,28 @@ sweep seed, and each sample owns a fixed window of the counter stream (two
 4-word blocks = eight uniform draws).  Sample values therefore depend only
 on ``(seed, sample_id)``; batching and worker scheduling cannot change them,
 and the CSV produced for a given configuration is byte-identical for any
-worker count.  Rows are rendered from one fixed template,
+worker count.  Rows carry exactly the bytes of one fixed template,
 ``"%d" + ",%.17g" * 15``, so every float re-parses to the same double; the
 bytes of the file, not just its values, are the reproducibility contract.
+A vectorized renderer produces them exactly for the positive values that
+``%.17g`` prints in fixed notation and for +0.0, and ``%`` renders the rest.
+:func:`sweep_to_csv` replaces its target only once the whole sweep is
+written.
 
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by column arrays: each :class:`SweepRecord` is built when it
 is accessed, and :func:`verify_bounds` audits the columns without building
 any.  The audit recomputes both bounds from ``pump_p`` and trusts no stored
 bound column; a NaN slack counts as a violation.  A CSV is read only if its
-``sample_id``s are nonnegative integers that strictly increase down the file.
+``sample_id``s are nonnegative integers that strictly increase down the file
+and every stored spectrum passes :func:`~pumplimit.linalg.validate_spectrum`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,7 +39,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import scheme
-from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError
+from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
+from .linalg import validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -74,9 +81,11 @@ SATURATING_SETTING = {
 _BLOCKS_PER_SAMPLE = 2
 # fixed evaluation batch; must not depend on the worker count
 _BATCH = 8192
-# rows formatted and encoded at a time by _render_csv
-_RENDER_CHUNK = 1024
-_ROW = "%d" + ",%.17g" * 15 + "\n"
+# rows rendered at a time by _render_csv; keeps its temporaries below _evaluate's peak
+_RENDER_CHUNK = 2048
+# bytes of the id ("%d" of any int64) and of the longest "%.17g" text
+# ("-4.9406564584124654e-324") in a row laid out by _render_rows
+_ID_WIDTH, _TEXT_WIDTH = 20, 24
 _N_FIELDS = CSV_HEADER.count(",") + 1
 _UNIT_INDEX = [COLUMNS.index(name) for name in _UNIT_INTERVAL]
 _P, _T = COLUMNS.index("pump_p"), COLUMNS.index("t")
@@ -221,7 +230,9 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int):
     try:
         spectra, s = _wootters_stack(rhos, trace_tol=scheme.BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
-        raise type(exc)(f"sweep: sample_id={start + exc.index}: {exc}") from exc
+        failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
+        failure.index = start + exc.index
+        raise failure from exc
     conc = _concurrence_from_s(*s.T)
     return {
         "sample_id": np.arange(start, stop, dtype=np.int64),
@@ -234,8 +245,12 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int):
 
 
 def _render_csv(batch) -> bytes:
-    """One CSV text block (no header) for an evaluated batch."""
-    ids = batch["sample_id"].tolist()
+    """One CSV text block (no header) for an evaluated batch.
+
+    The bytes are those of the row template ``"%d" + ",%.17g" * 15``:
+    :func:`_fixed17` renders the values it covers and ``%`` the rest.
+    """
+    ids = batch["sample_id"]
     values = np.concatenate(
         [
             batch["columns"],
@@ -246,13 +261,139 @@ def _render_csv(batch) -> bytes:
         ],
         axis=1,
     )
-    chunks = []
-    for lo in range(0, len(ids), _RENDER_CHUNK):
-        rows = values[lo : lo + _RENDER_CHUNK].tolist()
-        for sid, row in zip(ids[lo : lo + _RENDER_CHUNK], rows):
-            row.insert(0, sid)
-        chunks.append("".join([_ROW % tuple(row) for row in rows]).encode("ascii"))
-    return b"".join(chunks)
+    return b"".join(
+        _render_rows(ids[lo : lo + _RENDER_CHUNK], values[lo : lo + _RENDER_CHUNK])
+        for lo in range(0, len(ids), _RENDER_CHUNK)
+    )
+
+
+def _render_rows(ids: np.ndarray, values: np.ndarray) -> bytes:
+    """CSV rows for int64 ids and an (n, 15) float array.
+
+    Each row is laid out in a fixed-width NUL-padded buffer (the id, then a
+    comma and a text slot per value, then a newline); dropping the NULs
+    packs it into the row bytes.
+    """
+    rows = len(ids)
+    x = values.ravel()
+    fast = (x >= 1e-4) & (x < 1e16)
+    zero = (x == 0.0) & ~np.signbit(x)
+    slow = np.flatnonzero(~(fast | zero))
+    text = _fixed17(np.where(fast, x, 1.0))  # +0.0 and slow values render a placeholder
+    text[5, zero] = ord("0")  # in place of the "1" of the placeholder 1.0
+    buf = np.zeros((rows, _ID_WIDTH + (1 + _TEXT_WIDTH) * values.shape[1] + 1), dtype=np.uint8)
+    buf[:, :_ID_WIDTH] = ids.astype(f"S{_ID_WIDTH}").view(np.uint8).reshape(rows, _ID_WIDTH)
+    cells = buf[:, _ID_WIDTH:-1].reshape(rows, values.shape[1], 1 + _TEXT_WIDTH)
+    cells[..., 0] = ord(",")
+    cells[..., 1:] = text.T.reshape(rows, values.shape[1], _TEXT_WIDTH)
+    if slow.size:
+        fallback = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_TEXT_WIDTH}")
+        row, col = np.divmod(slow, values.shape[1])
+        cells[row, col, 1:] = fallback.view(np.uint8).reshape(slow.size, _TEXT_WIDTH)
+    buf[:, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
+def _split(a):
+    """Veltkamp's split: ``a == hi + lo`` exactly, each half of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+#: 10**k for k = 0..22, every one an exact double, and its Veltkamp halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_DIGIT_ROWS = np.arange(18, dtype=np.int8)[:, None]
+#: rows 0-4 of a _fixed17 text, "0." and three zeros, and the largest e that shows each
+_LEAD_CHARS = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_LEAD_E = np.array([-1, -1, -2, -3, -4], dtype=np.int8)[:, None]
+
+
+def _times_pow10(x, k):
+    """``x * 10**k`` exactly, as the unevaluated sum ``p + err`` (Dekker's two-product)."""
+    x_hi, x_lo = _split(x)
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    p = x * _POW10.take(k)
+    err = ((x_hi * b_hi - p) + x_hi * b_lo + x_lo * b_hi) + x_lo * b_lo
+    return p, err
+
+
+def _fixed17(x: np.ndarray) -> np.ndarray:
+    """The ``"%.17g"`` text of each x in [1e-4, 1e16), as a (24, n) uint8 table.
+
+    Column i holds the text of ``x[i]``, NUL-padded; NULs may sit between
+    its characters, never in place of one.  In this range ``%.17g`` prints
+    fixed notation: the 17 significant digits of x, correctly rounded (half
+    to even), with trailing fraction zeros and a bare point dropped.
+    Exactness:
+
+    - With ``e = floor(log10 x)`` the scale ``10**(16-e)`` is at most
+      ``10**20``, an exact double.
+    - Dekker's two-product (Veltkamp's split, no FMA; Dekker, Numer. Math.
+      18, 224 (1971)) gives the exact product ``x * 10**(16-e) = p + err``.
+    - In [1e16, 1e17] the double ``p`` exceeds 2**53 and is an even
+      integer, so ``D = int64(p) + rint(err)`` rounds the exact product to
+      an integer, ties to even, as CPython's correctly rounded ``%.17g``
+      does.
+    - ``log10`` can put e off by one next to a power of ten; a re-check of
+      the exact product against [1e16, 1e17) fixes it.  A rounding carry,
+      ``D == 10**17``, becomes ``D = 10**16`` with e one higher.
+
+    The digits of D come from base-100 division into a (digit, value)
+    table.  Rows 0-4 of the text hold ``0.`` and the leading zeros when
+    e < 0; rows 5-22 the 17 digits, with the point after digit e when a
+    nonzero digit follows it; trailing fraction zeros are NUL.
+    """
+    n = x.size
+    e = np.floor(np.log10(x)).astype(np.int64)
+    p, err = _times_pow10(x, 16 - e)
+    low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        e[redo] += np.where(high[redo], 1, -1)
+        p[redo], err[redo] = _times_pow10(x[redo], 16 - e[redo])
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e[carry] += 1
+
+    # rows 0-16: the digits, most significant first; row 17 (NUL) pads chars[1:].
+    # d // 100 and a multiply stand in for np.divmod, which is ten times slower
+    chars = np.zeros((18, n), dtype=np.uint8)
+    for j in range(16, 0, -2):
+        q = d // 100
+        pair = (d - q * 100).astype(np.uint8)
+        chars[j - 1] = pair // 10
+        chars[j] = pair - chars[j - 1] * 10
+        d = q
+    chars[0] = d
+    # digit j shows if it or a later digit is nonzero, or it is in the integer part
+    shown = chars[:17] != 0
+    for j in range(15, -1, -1):
+        shown[j] |= shown[j + 1]
+    e8 = e.astype(np.int8)
+    at = np.arange(n)
+    point = shown.ravel()[np.clip(e + 1, 0, 16) * n + at] & (e8 >= 0)
+    shown |= _DIGIT_ROWS[:17] <= e8
+    chars[:17] += ord("0")
+    chars[:17] *= shown
+
+    # selections are arithmetic on uint8: np.where is many times slower here
+    text = np.zeros((_TEXT_WIDTH, n), dtype=np.uint8)
+    text[:5] = (e8 <= _LEAD_E) * _LEAD_CHARS
+    # row 5 + c holds digit c up to digit e, then the point, then digit c - 1;
+    # with e < 0 the point's row is row 22, after all 17 digits
+    after = e8.copy()
+    after[e8 < 0] = 16
+    text[5] = chars[0]
+    digits = text[6:23]
+    np.subtract(chars[1:], chars[:17], out=digits)  # wraps mod 256, undone below
+    digits *= _DIGIT_ROWS[1:] <= after
+    digits += chars[:17]
+    text[6 + after, at] = point * np.uint8(ord("."))
+    return text
 
 
 def _csv_task(args) -> tuple[bytes, tuple]:
@@ -360,9 +501,29 @@ def _check_params(batch) -> None:
             raise BadParameterError(f"sample_id={batch['sample_id'][i]}: {exc}") from None
 
 
+def _check_spectra(batch) -> None:
+    """Reject a batch with a spectrum that validate_spectrum would refuse.
+
+    Each row's four eigenvalues must be non-ascending, the last at least
+    -1e-10 and their sum within 1e-10 of one; the first failing row is
+    re-checked with validate_spectrum so that the error names its rule,
+    prefixed by its ``sample_id``.
+    """
+    w1, w2, w3, w4 = batch["spectrum"].T
+    ok = (w2 <= w1) & (w3 <= w2) & (w4 <= w3) & (w4 >= -1e-10)
+    ok &= np.abs(w1 + w2 + w3 + w4 - 1.0) <= 1e-10  # summed in validate_spectrum's order
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            validate_spectrum(batch["spectrum"][i])
+        except InvalidSpectrumError as exc:
+            raise InvalidSpectrumError(f"sample_id={batch['sample_id'][i]}: {exc}") from None
+
+
 def _records_from_batch(batch, out: list) -> None:
-    """Check a batch's settings once, then keep its columns for SweepRecords."""
+    """Check a batch's settings and spectra once, then keep its columns for SweepRecords."""
     _check_params(batch)
+    _check_spectra(batch)
     out.append(batch)
 
 
@@ -384,13 +545,36 @@ def sweep_to_csv(cfg: SweepConfig, path) -> BoundReport:
     Values are written with 17 significant digits so they re-parse to the
     exact floating-point numbers.  Returns the bound audit accumulated
     on the fly.
+
+    The rows go to a temporary file beside ``path`` (beside the file a
+    symlink points to), which replaces it only once the sweep has finished;
+    if the sweep raises, the temporary file is removed and whatever was at
+    ``path`` is left as it was.  A ``path`` that exists but is not a regular
+    file, such as ``/dev/null`` or a pipe, is written in place.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            return _write_csv(cfg, handle)
+    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            report = _write_csv(cfg, handle)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+    return report
+
+
+def _write_csv(cfg: SweepConfig, handle) -> BoundReport:
+    """Write the header and every row to an open binary file; the bound audit."""
     report = BoundReport()
-    with open(path, "wb") as handle:
-        handle.write((CSV_HEADER + "\n").encode("ascii"))
-        for chunk, part in _ordered_map(_csv_task, _batches(cfg), cfg.workers):
-            handle.write(chunk)
-            report._fold(part)
+    handle.write((CSV_HEADER + "\n").encode("ascii"))
+    for chunk, part in _ordered_map(_csv_task, _batches(cfg), cfg.workers):
+        handle.write(chunk)
+        report._fold(part)
     return report
 
 
@@ -519,11 +703,14 @@ def _sample_ids(column: np.ndarray, lines: Sequence[int], path, last: float) -> 
 def verify_csv(path) -> BoundReport:
     """Audit a sweep CSV file against the bounds, streaming.
 
-    Rows whose settings SchemeParams would refuse raise BadParameterError.
+    Rows whose settings SchemeParams would refuse raise BadParameterError,
+    and rows whose spectrum validate_spectrum would refuse raise
+    InvalidSpectrumError.
     """
     report = BoundReport()
     for batch in _columns_from_csv(path):
         _check_params(batch)
+        _check_spectra(batch)
         report._fold(_accumulate(batch))
     return report
 

@@ -164,6 +164,15 @@ def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):
     assert err == f"error: {path}, {problem}\n"
 
 
+def test_verify_rejects_bad_spectrum(capsys, tmp_path):
+    path = tmp_path / "bad_spectrum.csv"
+    path.write_text(CSV_HEADER + "\n0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,0.2,0.9,0.3,0.1\n")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: sample_id=0: values are not sorted non-ascending\n"
+
+
 def test_verify_of_blank_body_warns_nothing(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text(CSV_HEADER + "\n\n")

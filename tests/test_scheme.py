@@ -14,6 +14,8 @@ from pumplimit import (
     is_two_d,
     transform_fields,
 )
+from pumplimit.errors import NotPSDError
+from pumplimit.scheme import _validate_built
 from oracles import random_density
 
 
@@ -118,6 +120,14 @@ def test_built_states_are_physical():
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+def test_built_state_gate_keeps_failing_position():
+    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (5, 1, 1))
+    stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(NotPSDError, match="^origin: negative eigenvalue") as info:
+        _validate_built(stack, "origin")
+    assert info.value.index == 3
 
 
 def test_general_bound_over_random_settings():

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from pumplimit import (
     BadConfigError,
     BadParameterError,
     InvalidDensityMatrixError,
+    InvalidSpectrumError,
     SchemeParams,
     SweepConfig,
     SweepRecord,
@@ -243,21 +247,98 @@ def test_render_matches_oracle_across_chunk_boundaries():
     assert rendered.count(b"\n") == n
 
 
-def test_gate_failure_names_sample_id(monkeypatch):
+def test_render_matches_oracle_on_adversarial_values():
+    rng = np.random.default_rng(9)
+    # neighbours of the ends of the fixed-notation range and of every power of ten
+    powers = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    near, up, down = [powers], powers, powers
+    for _ in range(300):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    # exact decimal ties at the 17th digit: n + 1/4, n + 3/4 and odd j/8
+    n = rng.integers(10**15, 2**50, 20_000).astype(float)
+    odd_eighths = (rng.integers(8 * 10**14, 8 * 10**15, 20_000) | 1) / 8.0
+    log_uniform = 10.0 ** rng.uniform(-8.0, 20.0, 30_000) * rng.choice([-1.0, 1.0], 30_000)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.nan, np.inf, -np.inf]
+    values = np.concatenate([*near, n + 0.25, n + 0.75, odd_eighths, log_uniform, special])
+    values = np.concatenate([values, np.zeros(-values.size % 15)])
+    assert values.size >= 10**5
+    values = rng.permutation(values).reshape(-1, 15)
+    batch = {
+        "sample_id": np.arange(values.shape[0], dtype=np.int64),
+        "columns": values[:, :8],
+        "concurrence": values[:, 8],
+        "bound_general": values[:, 9],
+        "bound_2d": values[:, 10],
+        "spectrum": values[:, 11:],
+    }
+    assert _render_csv(batch) == _render_oracle(batch)
+
+
+_BAD_STATES = (37, 60)  # positions inside the second batch
+
+
+def _plant_bad_states(monkeypatch):
+    """Make the builders return unphysical states at _BAD_STATES of the second batch."""
     original = pumplimit.scheme._density_stack
-    bad = (37, 60)  # positions inside the second batch
 
     def with_bad_states(*args):
         rhos = original(*args)
         if rhos.shape[0] < _BATCH:
-            for k in bad:
+            for k in _BAD_STATES:
                 rhos[k] = np.diag([1.5, -0.5, 0.0, 0.0])
         return rhos
 
     monkeypatch.setattr(pumplimit.scheme, "_density_stack", with_bad_states)
+
+
+def test_gate_failure_names_sample_id(monkeypatch):
+    _plant_bad_states(monkeypatch)
     with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
         run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
-    assert f"sample_id={_BATCH + bad[0]}:" in str(info.value)
+    assert f"sample_id={_BATCH + _BAD_STATES[0]}:" in str(info.value)
+    assert info.value.index == _BATCH + 37
+
+
+def test_failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path):
+    path = tmp_path / "out.csv"
+    cfg = SweepConfig(n_samples=_BATCH + 100, seed=6)
+    _plant_bad_states(monkeypatch)
+    for earlier in (None, b"earlier content\n"):
+        if earlier is not None:
+            path.write_bytes(earlier)
+        with pytest.raises(InvalidDensityMatrixError, match=f"sample_id={_BATCH + 37}:"):
+            sweep_to_csv(cfg, path)
+        assert os.listdir(tmp_path) == ([] if earlier is None else [path.name])
+        if earlier is not None:
+            assert path.read_bytes() == earlier
+    monkeypatch.undo()
+    sweep_to_csv(cfg, path)
+    assert os.listdir(tmp_path) == [path.name]
+    assert len(load_csv(path)) == cfg.n_samples
+
+
+def test_sweep_keeps_symlinks_and_writes_pipes_in_place(tmp_path):
+    cfg = SweepConfig(n_samples=50, seed=3)
+    expected = tmp_path / "expected.csv"
+    sweep_to_csv(cfg, expected)
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    sweep_to_csv(cfg, link)
+    assert link.is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == expected.read_bytes()
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    sweep_to_csv(cfg, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["expected.csv", "fifo", "link.csv", "target.csv"]
 
 
 def _records_oracle(batch) -> list:
@@ -387,6 +468,24 @@ def test_load_csv_rejects_bad_settings(two_batch_csv, tmp_path, name, value, mat
     assert f"sample_id={sample_id}:" in str(info.value)
     with pytest.raises(BadParameterError, match=f"sample_id={sample_id}:"):
         verify_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "spectrum, match",
+    [
+        ((0.2, 0.9, 0.3, 0.1), "values are not sorted non-ascending"),
+        ((0.5, 0.3, 0.2, -0.001), "negative weight"),
+        ((0.5, 0.3, 0.2, 0.1), "sum 1.1 is not 1"),
+        ((0.5, 0.3, 0.2, "nan"), "spectrum contains non-finite values"),
+    ],
+)
+def test_load_csv_rejects_bad_spectrum(two_batch_csv, tmp_path, spectrum, match):
+    sample_id = _BATCH + 11
+    names = ("lambda1", "lambda2", "lambda3", "lambda4")
+    bad = _with_row(two_batch_csv[0], tmp_path / "bad.csv", sample_id, **dict(zip(names, spectrum)))
+    for read in (load_csv, verify_csv):
+        with pytest.raises(InvalidSpectrumError, match=f"^sample_id={sample_id}: {match}"):
+            read(bad)
 
 
 @pytest.mark.parametrize(
