@@ -38,6 +38,8 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 #: identifier of the deterministic RNG (fixed; part of the CLI version string)
 RNG_ALGORITHM = "philox4x64-10"
+#: seeds lie in [0, SEED_LIMIT): the Philox key is two 64-bit words
+SEED_LIMIT = 2**128
 #: below this pure-part weight the polarized direction is considered
 #: degenerate and the convention vector (1, 0) is returned
 _DEGENERATE_P = 1e-15
@@ -110,10 +112,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def generator_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator: Philox keyed directly by ``seed``."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise BadParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
+        raise BadParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

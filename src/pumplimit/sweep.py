@@ -16,6 +16,12 @@ A vectorized renderer produces them exactly for the positive values that
 :func:`sweep_to_csv` replaces its target only once the whole sweep is
 written.
 
+Every stage (drawing, building, the Wootters kernel, rendering, the audit
+and the CSV reader) works on batches of 2048 samples, a working set that
+stays in cache, and the batch tasks are made only as they are consumed, so
+the memory of :func:`sweep_to_csv` and :func:`verify_csv` does not grow
+with ``n``.
+
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by column arrays: each :class:`SweepRecord` is built when it
 is accessed, and :func:`verify_bounds` audits the columns without building
@@ -31,16 +37,15 @@ import math
 import operator
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
-from .linalg import validate_spectrum
+from .linalg import SEED_LIMIT, _is_int, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -79,10 +84,9 @@ SATURATING_SETTING = {
 
 # Philox counter blocks per sample: 2 blocks x 4 doubles = 8 draws
 _BLOCKS_PER_SAMPLE = 2
-# fixed evaluation batch; must not depend on the worker count
-_BATCH = 8192
-# rows rendered at a time by _render_csv; keeps its temporaries below _evaluate's peak
-_RENDER_CHUNK = 2048
+# fixed evaluation batch, sized so that a batch's working set stays in cache;
+# must not depend on the worker count
+_BATCH = 2048
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_rows
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
@@ -107,13 +111,13 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 1:
+        if not _is_int(self.n_samples) or self.n_samples < 1:
             raise BadConfigError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise BadConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
+            raise BadConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         if self.mode not in MODES:
             raise BadConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise BadConfigError(f"workers must be a positive integer, got {self.workers!r}")
         for name, bounds in (self.param_ranges or {}).items():
             if name not in COLUMNS:
@@ -261,10 +265,7 @@ def _render_csv(batch) -> bytes:
         ],
         axis=1,
     )
-    return b"".join(
-        _render_rows(ids[lo : lo + _RENDER_CHUNK], values[lo : lo + _RENDER_CHUNK])
-        for lo in range(0, len(ids), _RENDER_CHUNK)
-    )
+    return _render_rows(ids, values)
 
 
 def _render_rows(ids: np.ndarray, values: np.ndarray) -> bytes:
@@ -407,23 +408,29 @@ def _batch_task(args):
     return _evaluate(cfg, start, stop)
 
 
-def _batches(cfg: SweepConfig):
-    return [
-        (cfg, lo, min(lo + _BATCH, cfg.n_samples))
-        for lo in range(0, cfg.n_samples, _BATCH)
-    ]
+def _batches(cfg: SweepConfig) -> Iterator[tuple]:
+    """The sweep's ``(cfg, start, stop)`` tasks, made one at a time as they are consumed."""
+    return ((cfg, lo, min(lo + _BATCH, cfg.n_samples)) for lo in range(0, cfg.n_samples, _BATCH))
 
 
-def _ordered_map(func, tasks, workers: int):
-    """Apply ``func`` over tasks, in order, with bounded parallelism."""
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
+def _ordered_map(func, tasks: Iterable, workers: int):
+    """Apply ``func`` over tasks, in order, with bounded parallelism.
+
+    Tasks are drawn from the iterable only as the window has room for them.
+    A single task runs in this process: no pool starts for it.
+    """
+    tasks = iter(tasks)
+    head = list(islice(tasks, 2))
+    if workers <= 1 or len(head) <= 1:
+        for task in chain(head, tasks):
             yield func(task)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = workers * 4
         pending = []
-        for task in tasks:
+        for task in chain(head, tasks):
             pending.append(pool.submit(func, task))
             if len(pending) >= window:
                 yield pending.pop(0).result()

@@ -75,7 +75,6 @@ def _wootters_stack(rhos: np.ndarray, trace_tol: float = TRACE_TOL):
     h, (w, v) = check_states(rhos, dims=(4,), trace_tol=trace_tol, vectors=True)
     root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ dagger(v)
     product = root @ (_SPIN_FLIP @ np.conj(h) @ _SPIN_FLIP) @ root
-    del h, v, root  # three 4x4 stacks fewer alive at the sweep's peak
     _, ev = check_states(
         product, dims=(4,), herm_tol=math.inf, trace_tol=math.inf, eig_floor=_SQRT_CLAMP
     )

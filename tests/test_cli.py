@@ -254,6 +254,19 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--n", "10")[0] == 1  # missing required flags
 
 
+def test_seed_beyond_philox_key_is_input_error(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pumplimit", "sweep", "--n", "2", "--seed", str(2**128),
+         "--mode", "general", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_version_names_the_rng(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

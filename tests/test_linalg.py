@@ -161,6 +161,10 @@ def test_generator_rejects_bad_seeds():
         generator_from_seed(-1)
     with pytest.raises(BadParameterError):
         generator_from_seed(1.5)
+    for seed in (2**128, True):
+        with pytest.raises(BadParameterError):
+            generator_from_seed(seed)
+    assert generator_from_seed(2**128 - 1).random() == generator_from_seed(2**128 - 1).random()
 
 
 def test_validate_spectrum_accepts_and_cleans():

@@ -1,13 +1,19 @@
+import collections
 import dataclasses
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 import threading
+import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 import pumplimit.scheme
+import pumplimit.sweep
 from pumplimit import (
     BadConfigError,
     BadParameterError,
@@ -29,11 +35,13 @@ from pumplimit import (
 )
 from pumplimit.sweep import (
     _BATCH,
-    _RENDER_CHUNK,
     COLUMNS,
     CSV_HEADER,
+    _batches,
     _columns_from_csv,
+    _csv_task,
     _evaluate,
+    _ordered_map,
     _render_csv,
 )
 
@@ -48,11 +56,20 @@ from pumplimit.sweep import (
         dict(n_samples=10, seed=1, param_ranges={"beta": (0.0, 1.0)}),
         dict(n_samples=10, seed=1, param_ranges={"t": (0.5, 1.5)}),
         dict(n_samples=10, seed=1, param_ranges={"mu": (0.9, 0.1)}),
+        dict(n_samples=10, seed=2**128),
+        dict(n_samples=True, seed=1),
+        dict(n_samples=10, seed=False),
+        dict(n_samples=10, seed=1, workers=True),
     ],
 )
 def test_config_rejected(kwargs):
     with pytest.raises(BadConfigError):
         SweepConfig(**kwargs)
+
+
+def test_largest_seed_runs():
+    records = run_sweep(SweepConfig(n_samples=2, seed=2**128 - 1))
+    assert [r.sample_id for r in records] == [0, 1]
 
 
 def test_single_sample_reproducible():
@@ -117,6 +134,41 @@ def test_csv_bytes_identical_across_worker_counts(tmp_path):
         sweep_to_csv(SweepConfig(n_samples=20_000, seed=99, workers=workers), path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_pool_module_imported_only_when_a_pool_starts(tmp_path):
+    code = (
+        "import sys, pumplimit, pumplimit.cli\n"
+        f"pumplimit.sweep_to_csv(pumplimit.SweepConfig(n_samples=1, seed=1, workers=2), {str(tmp_path / 'one.csv')!r})\n"
+        "sys.exit('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "concurrent.futures was imported"
+    assert (tmp_path / "one.csv").read_text().count("\n") == 2
+
+
+def _traced_peak(func) -> int:
+    """Bytes allocated by ``func()`` at its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        func()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_budget():
+    task = (SweepConfig(n_samples=_BATCH, seed=3), 0, _BATCH)
+    _csv_task(task)  # one-time set-up is not part of a batch's working set
+    assert _traced_peak(lambda: _csv_task(task)) <= 8 * 2**20
+
+
+def test_task_stream_is_made_as_it_is_consumed():
+    cfg = SweepConfig(n_samples=10**9, seed=3)
+    last = collections.deque(maxlen=1)
+    assert _traced_peak(lambda: last.extend(_ordered_map(itemgetter(2), _batches(cfg), 1))) < 2**20
+    assert list(last) == [10**9]
 
 
 def test_verify_bounds_empty():
@@ -240,7 +292,7 @@ def test_render_matches_oracle_on_special_values():
 
 
 def test_render_matches_oracle_across_chunk_boundaries():
-    n = 2 * _RENDER_CHUNK + 37
+    n = 2 * _BATCH + 37
     batch = _evaluate(SweepConfig(n_samples=n, seed=21), 0, n)
     rendered = _render_csv(batch)
     assert rendered == _render_oracle(batch)
@@ -401,6 +453,26 @@ def test_records_match_seed_oracle(two_batch_csv):
     loaded = [r for batch in _columns_from_csv(path) for r in _records_oracle(batch)]
     _assert_same_records(load_csv(path), loaded)
     _assert_same_records(loaded, expected)
+
+
+def _sweep_outputs(cfg, path):
+    report = sweep_to_csv(cfg, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digest, _report_key(report), run_sweep(cfg), load_csv(path), _report_key(verify_csv(path))
+
+
+@pytest.mark.parametrize("mode", ["general", "two_d"])
+@pytest.mark.parametrize("batch", [1000, 4096])
+def test_results_do_not_depend_on_batch_size(tmp_path, monkeypatch, mode, batch):
+    cfg = SweepConfig(n_samples=2 * _BATCH + 1500, seed=77, mode=mode)
+    digest, report, records, loaded, audit = _sweep_outputs(cfg, tmp_path / "default.csv")
+    monkeypatch.setattr(pumplimit.sweep, "_BATCH", batch)
+    other = _sweep_outputs(cfg, tmp_path / f"batch{batch}.csv")
+    assert other[0] == digest
+    assert other[1] == report
+    _assert_same_records(other[2], records)
+    _assert_same_records(other[3], loaded)
+    assert other[4] == audit == report
 
 
 def test_sweep_records_sequence():
