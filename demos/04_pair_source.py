@@ -1,5 +1,5 @@
-"""The tunable two-arm pair source: element formulas vs the moment-algebra
-oracle, two-level operation, and the bound-saturating setting.
+"""The tunable two-arm pair source: the closed-form factor vs the
+moment-algebra oracle, two-level operation, and the bound-saturating setting.
 
 Run:  python demos/04_pair_source.py
 """
@@ -30,7 +30,7 @@ rho = build_density_matrix(params)
 oracle = build_density_matrix_oracle(params)
 print(f"settings: {params}")
 print(f"state (real part):\n{rho.real}")
-print(f"closed-form elements vs moment algebra, max difference: "
+print(f"closed-form factor G G^dag vs moment algebra, max difference: "
       f"{np.max(np.abs(rho - oracle)):.2e}")
 print(f"concurrence = {concurrence(rho):.4f} <= (1+P)/2 = {(1 + params.pump_p) / 2:.4f}\n")
 

@@ -33,7 +33,7 @@ def canonical_pump(p: float) -> np.ndarray:
 
     Equal H/V power with a real, nonnegative cross moment; its degree of
     polarization is exactly ``p``.  This is the pump convention assumed by
-    the analytic element formulas of the source simulator.
+    the closed-form factor of the source simulator.
     """
     p = float(p)
     if not np.isfinite(p) or not 0.0 <= p <= 1.0:

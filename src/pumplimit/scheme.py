@@ -13,10 +13,12 @@ half-wave plate and contribute on |HV> and |VH>:
 
 The emitted state is the ensemble average of |pair><pair|, so every matrix
 element is a second moment of the arm fields.  Two independent constructions
-are provided: :func:`build_density_matrix` transcribes the closed-form
-element expressions (pump moments <E_H E_H*> = <E_V E_V*> = 1/2,
-<E_H* E_V> = P/2), while :func:`build_density_matrix_oracle` derives every
-moment from the arm transformation matrices and the pump coherency matrix.
+are provided: :func:`build_density_matrix` forms ``G G^dag`` from the
+source's closed-form factor ``G`` (the arm maps times Cholesky factors of
+the pump moments <E_H E_H*> = <E_V E_V*> = 1/2, <E_H* E_V> = P/2 and of the
+inter-arm phase moments), while :func:`build_density_matrix_oracle` derives
+every moment from the arm transformation matrices and the pump coherency
+matrix.  The sweep hands ``G`` itself to the Wootters kernel.
 """
 
 from __future__ import annotations
@@ -100,106 +102,50 @@ def transform_fields(params: SchemeParams, arm: int) -> np.ndarray:
     return eta * (rotation @ retarder)
 
 
-def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.ndarray:
-    """Assemble pair states from broadcastable parameter arrays.
+def _arm_rows(eta, theta, alpha, pp, rest_p):
+    """Rows H and V of ``eta R(theta) Phi(alpha) [[1, 0], [P, sqrt(1 - P^2)]]``."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    phase = np.exp(1j * alpha)
+    row_h = (eta * (cos + sin * phase * pp), eta * sin * phase * rest_p)
+    row_v = (eta * (cos * phase * pp - sin), eta * cos * phase * rest_p)
+    return row_h, row_v
 
-    Returns a complex array of shape ``broadcast_shape + (4, 4)``.  All
-    entries are the closed-form second moments of the arm field
-    coefficients; Hermiticity is exact by construction.
+
+def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.ndarray:
+    """Factor ``G`` of the pair states, ``rho = G G^dag``, from broadcastable parameters.
+
+    Returns a complex array of shape ``broadcast_shape + (4, 4)``.  The
+    source state is ``L (Gamma x J) L^dag``, where the columns index the
+    random vector ``(1, e^{i gamma}) x (E_H, E_V)`` of second moments
+    ``Gamma x J`` and ``L`` places the arm maps of :func:`transform_fields`
+    on the rows (HH, VV from arm 1; HV, VH from arm 2).  With the Cholesky
+    factors ``F_J = [[1, 0], [P, sqrt(1 - P^2)]] / sqrt(2)`` and
+    ``F_Gamma = [[1, 0], [mu e^{i gamma_0}, sqrt(1 - mu^2)]]``,
+    ``G = L (F_Gamma x F_J)`` is exact and needs no eigensolver: rows HH
+    and VV hold ``sqrt(t/2) R(theta_1) Phi(alpha_1) F_J`` in columns 0-1,
+    rows HV and VH hold ``sqrt((1-t)/2) R(theta_2) Phi(alpha_2) F_J`` scaled
+    by ``mu e^{i gamma_0}`` in columns 0-1 and by ``sqrt(1 - mu^2)`` in
+    columns 2-3.
     """
     pp = np.asarray(pump_p, dtype=float)
     tt = np.asarray(t, dtype=float)
-    th1 = np.asarray(theta1, dtype=float)
-    th2 = np.asarray(theta2, dtype=float)
-    a1 = np.asarray(alpha1, dtype=float)
-    a2 = np.asarray(alpha2, dtype=float)
     m = np.asarray(mu, dtype=float)
-    g0 = np.asarray(gamma0, dtype=float)
+    rest_p = np.sqrt((1.0 - pp) * (1.0 + pp))
+    h1, v1 = _arm_rows(np.sqrt(tt / 2.0), theta1, alpha1, pp, rest_p)
+    h2, v2 = _arm_rows(np.sqrt((1.0 - tt) / 2.0), theta2, alpha2, pp, rest_p)
+    coh = m * np.exp(1j * np.asarray(gamma0, dtype=float))
+    rest_mu = np.sqrt((1.0 - m) * (1.0 + m))
 
-    n1 = tt  # |eta_1|^2
-    n2 = 1.0 - tt  # |eta_2|^2
-    n12 = np.sqrt(n1 * n2)  # |eta_1 eta_2|
-
-    cos1, sin1 = np.cos(th1), np.sin(th1)
-    cos2, sin2 = np.cos(th2), np.sin(th2)
-    ea1 = np.exp(1j * a1)
-    ea2 = np.exp(1j * a2)
-    # first moment of the inter-arm phase and its conjugate
-    coh = m * np.exp(1j * g0)
-
-    # within-arm moments
-    d_v1 = n1 * (1.0 - pp * np.cos(a1) * np.sin(2.0 * th1)) / 2.0
-    d_h1 = n1 * (1.0 + pp * np.cos(a1) * np.sin(2.0 * th1)) / 2.0
-    d_v2 = n2 * (1.0 - pp * np.cos(a2) * np.sin(2.0 * th2)) / 2.0
-    d_h2 = n2 * (1.0 + pp * np.cos(a2) * np.sin(2.0 * th2)) / 2.0
-    vh1 = n1 * pp * (np.cos(a1) * np.cos(2.0 * th1) + 1j * np.sin(a1)) / 2.0
-    vh2 = n2 * pp * (np.cos(a2) * np.cos(2.0 * th2) + 1j * np.sin(a2)) / 2.0
-
-    # cross-arm moments, each damped by the coherence moment
-    v1v2 = (
-        n12
-        * (
-            sin1 * sin2
-            + cos1 * cos2 * ea1 * np.conj(ea2)
-            - pp * cos1 * sin2 * ea1
-            - pp * sin1 * cos2 * np.conj(ea2)
-        )
-        * np.conj(coh)
-        / 2.0
-    )
-    v1h2 = (
-        n12
-        * (
-            -sin1 * cos2
-            + cos1 * sin2 * ea1 * np.conj(ea2)
-            + pp * cos1 * cos2 * ea1
-            - pp * sin1 * sin2 * np.conj(ea2)
-        )
-        * np.conj(coh)
-        / 2.0
-    )
-    v2h1 = (
-        n12
-        * (
-            -cos1 * sin2
-            + sin1 * cos2 * np.conj(ea1) * ea2
-            - pp * sin1 * sin2 * np.conj(ea1)
-            + pp * cos1 * cos2 * ea2
-        )
-        * coh
-        / 2.0
-    )
-    h2h1 = (
-        n12
-        * (
-            cos1 * cos2
-            + sin1 * sin2 * np.conj(ea1) * ea2
-            + pp * sin1 * cos2 * np.conj(ea1)
-            + pp * cos1 * sin2 * ea2
-        )
-        * coh
-        / 2.0
-    )
-
-    shape = np.broadcast(pp, tt, th1, th2, a1, a2, m, g0).shape
-    rho = np.zeros(shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = d_v1
-    rho[..., 1, 1] = d_v2
-    rho[..., 2, 2] = d_h2
-    rho[..., 3, 3] = d_h1
-    rho[..., 0, 1] = v1v2
-    rho[..., 0, 2] = v1h2
-    rho[..., 0, 3] = vh1
-    rho[..., 1, 2] = vh2
-    rho[..., 1, 3] = v2h1
-    rho[..., 2, 3] = h2h1
-    rho[..., 1, 0] = np.conj(v1v2)
-    rho[..., 2, 0] = np.conj(v1h2)
-    rho[..., 3, 0] = np.conj(vh1)
-    rho[..., 2, 1] = np.conj(vh2)
-    rho[..., 3, 1] = np.conj(v2h1)
-    rho[..., 3, 2] = np.conj(h2h1)
-    return rho
+    shape = np.broadcast(pp, tt, theta1, theta2, alpha1, alpha2, m, gamma0).shape
+    g = np.zeros(shape + (4, 4), dtype=complex)
+    for col in range(2):
+        g[..., 0, col] = v1[col]
+        g[..., 3, col] = h1[col]
+        g[..., 1, col] = coh * v2[col]
+        g[..., 2, col] = coh * h2[col]
+        g[..., 1, col + 2] = rest_mu * v2[col]
+        g[..., 2, col + 2] = rest_mu * h2[col]
+    return g
 
 
 def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
@@ -214,22 +160,14 @@ def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
 
 
 def build_density_matrix(params: SchemeParams) -> np.ndarray:
-    """Pair state for one parameter setting, from the closed-form elements.
+    """Pair state for one parameter setting, ``G G^dag`` of the source's factor.
 
-    The assembled matrix is validated (unit trace within 1e-12, eigenvalues
+    ``G`` is the closed-form factor of :func:`_density_stack`.  The
+    assembled matrix is validated (unit trace within 1e-12, eigenvalues
     above -1e-10); a violation raises rather than being projected away.
     """
-    rho = _density_stack(
-        params.pump_p,
-        params.t,
-        params.theta1,
-        params.theta2,
-        params.alpha1,
-        params.alpha2,
-        params.mu,
-        params.gamma0,
-    )
-    return _validate_built(rho, "build_density_matrix")
+    g = _density_stack(**vars(params))
+    return _validate_built(g @ dagger(g), "build_density_matrix")
 
 
 def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
@@ -238,8 +176,8 @@ def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
     Every second moment ``<E_{a,i} E_{b,j}*>`` is read off as an entry of
     ``C_i J C_j^dag`` where ``C_i`` is the arm transformation and ``J`` the
     pump coherency matrix; cross-arm moments pick up the coherence factor
-    ``mu e^{+-i gamma_0}``.  Never touches the closed-form element
-    expressions used by :func:`build_density_matrix`.
+    ``mu e^{+-i gamma_0}``.  Never touches the closed-form factor used by
+    :func:`build_density_matrix`.
 
     ``pump`` defaults to ``canonical_pump(params.pump_p)``; passing an
     explicit coherency matrix simulates a pump with arbitrary moments.

@@ -230,9 +230,9 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int):
     """
     cols = _draw_columns(cfg, start, stop)
     pump_p, t, th1, th2, a1, a2, mu, g0 = (cols[:, j] for j in range(len(COLUMNS)))
-    rhos = scheme._density_stack(pump_p, t, th1, th2, a1, a2, mu, g0)
+    g = scheme._density_stack(pump_p, t, th1, th2, a1, a2, mu, g0)
     try:
-        spectra, s = _wootters_stack(rhos, trace_tol=scheme.BUILT_TRACE_TOL)
+        spectra, s = _wootters_stack(g, trace_tol=scheme.BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index

@@ -1,11 +1,13 @@
 """Two-qubit polarization states and their concurrence.
 
 Basis order is (|HH>, |HV>, |VH>, |VV>) with the signal photon first and
-H -> 0, V -> 1 for each photon.  Concurrence is computed through the
-Hermitian form sqrt(rho) rho~ sqrt(rho) of the spin-flip construction, so
-only a Hermitian eigensolver is ever needed.  The density-matrix checks
-and the s-values share one ``eigh`` of each state: its eigenvalues decide
-the PSD check, give the spectrum and, with its vectors, build sqrt(rho).
+H -> 0, V -> 1 for each photon.  Concurrence is computed from a factor
+``G`` of the state, ``rho = G G^dag``: the s-values of the spin-flip
+construction are the singular values of ``G^T (sy x sy) G`` (Wootters,
+PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)), so no square root of
+a noisy eigenvalue is ever taken.  The sweep hands over the source's exact
+closed-form factor; a state from outside is factored as ``V sqrt(w)`` from
+the ``eigh`` that its density-matrix check computes anyway.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -21,7 +23,6 @@ import numpy as np
 
 from .errors import NotTwoDError
 from .linalg import (
-    TRACE_TOL,
     _eigh,
     as_matrix,
     check_states,
@@ -35,62 +36,59 @@ BASIS = ("HH", "HV", "VH", "VV")
 
 #: default threshold for detecting two-level support
 TWO_D_TOL = 1e-10
-#: validity floor for the eigenvalues entering the concurrence square roots
-_SQRT_CLAMP = 1e-12
-#: eigenvalues below this fraction of the largest are rank-deficiency noise;
-#: square-rooting them would turn O(eps) rounding into O(sqrt(eps)) bias
-_SQRT_REL_FLOOR = 1e-12
 
-# sigma_y (x) sigma_y in this basis: constant anti-diagonal (-1, 1, 1, -1)
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
+# sigma_y (x) sigma_y in this basis is the anti-diagonal (-1, 1, 1, -1):
+# multiplied from the left it reverses the rows and signs them by these
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def spin_flip(rho) -> np.ndarray:
     """The spin-flipped state ``(sy x sy) rho* (sy x sy)``."""
     a = as_matrix(rho, dims=(4,))
     validate_density_matrix(a)
-    return _SPIN_FLIP @ np.conj(a) @ _SPIN_FLIP
+    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * np.conj(a)[::-1, ::-1]
 
 
-def _wootters_stack(rhos: np.ndarray, trace_tol: float = TRACE_TOL):
-    """Check a stack of states, then return its spectrum and s-values.
+def _s_values(g: np.ndarray) -> np.ndarray:
+    """s-values of the states ``G G^dag`` for a stack of factors ``G``.
+
+    The singular values of ``G^T (sy x sy) G``, sorted non-ascending along
+    the last axis.
+    """
+    flipped = _FLIP_SIGNS[:, None] * g[..., ::-1, :]
+    return np.linalg.svd(np.swapaxes(g, -1, -2) @ flipped, compute_uv=False)
+
+
+def _wootters_stack(g: np.ndarray, trace_tol: float):
+    """Check the states ``G G^dag`` of a stack of factors, then return spectrum and s-values.
 
     The density-matrix rules of :func:`~pumplimit.linalg.check_states` are
-    applied with the given trace budget; the Hermitian part and the ``eigh``
-    that the check returns also give rho~ and sqrt(rho).  The PSD rule of
-    the same check, with floor ``_SQRT_CLAMP``, guards the Hermitian part of
-    sqrt(rho) rho~ sqrt(rho).  Returns ``(spectrum, s)`` where ``spectrum``
-    holds the eigenvalues of each rho and ``s`` the square roots of the
-    eigenvalues of sqrt(rho) rho~ sqrt(rho), both sorted non-ascending
-    along the last axis.
+    applied to ``G G^dag`` with the given trace budget; its ``eigvalsh``
+    gives the spectrum.  Returns ``(spectrum, s)``, both sorted
+    non-ascending along the last axis.
     """
-    h, (w, v) = check_states(rhos, dims=(4,), trace_tol=trace_tol, vectors=True)
-    root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))[..., None, :]) @ dagger(v)
-    product = root @ (_SPIN_FLIP @ np.conj(h) @ _SPIN_FLIP) @ root
-    _, ev = check_states(
-        product, dims=(4,), herm_tol=math.inf, trace_tol=math.inf, eig_floor=_SQRT_CLAMP
-    )
-    floor = np.maximum(ev[..., -1:], 0.0) * _SQRT_REL_FLOOR
-    s = np.sqrt(np.where(ev <= floor, 0.0, ev))
-    return w[..., ::-1], s[..., ::-1]
+    _, w = check_states(g @ dagger(g), dims=(4,), trace_tol=trace_tol)
+    return w[..., ::-1], _s_values(g)
+
+
+def _factor(rhos) -> np.ndarray:
+    """Factor ``G = V sqrt(w)`` of checked states, from their ``eigh``.
+
+    Eigenvalues at or below ``4 eps`` times the largest are rounding noise
+    of a rank-deficient state and count as zero.
+    """
+    _, (w, v) = check_states(rhos, dims=(4,), vectors=True)
+    floor = 4.0 * np.finfo(float).eps * w[..., -1:]
+    return v * np.sqrt(np.where(w <= floor, 0.0, w))[..., None, :]
 
 
 def wootters_spectrum(rho) -> np.ndarray:
     """The four s-values whose alternating sum gives the concurrence.
 
-    These are the square roots of the eigenvalues of
-    sqrt(rho) rho~ sqrt(rho), sorted non-ascending.
+    These are the square roots of the eigenvalues of rho rho~, sorted
+    non-ascending.
     """
-    a = as_matrix(rho, dims=(4,))
-    return _wootters_stack(a[None])[1][0]
+    return _s_values(_factor(as_matrix(rho, dims=(4,))))
 
 
 def _concurrence_from_s(s1, s2, s3, s4):
@@ -113,7 +111,7 @@ def concurrence_many(rhos) -> np.ndarray:
     Vectorized equivalent of :func:`concurrence`, with the same per-state
     checks.
     """
-    return _concurrence_from_s(*np.moveaxis(_wootters_stack(rhos)[1], -1, 0))
+    return _concurrence_from_s(*np.moveaxis(_s_values(_factor(rhos)), -1, 0))
 
 
 def unitary_max_concurrence(spectrum) -> float:

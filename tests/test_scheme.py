@@ -15,8 +15,10 @@ from pumplimit import (
     transform_fields,
 )
 from pumplimit.errors import NotPSDError
-from pumplimit.scheme import _validate_built
-from oracles import random_density
+from pumplimit.scheme import BUILT_TRACE_TOL, _density_stack, _validate_built
+from pumplimit.sweep import COLUMNS, SweepConfig, _evaluate, saturating_config
+from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
+from oracles import density_elements, random_density, source_concurrence_mp
 
 
 def params_with(**overrides):
@@ -108,8 +110,11 @@ def test_oracle_agrees_with_element_formulas():
     worst = 0.0
     for _ in range(2000):
         p = random_params(rng)
-        delta = np.max(np.abs(build_density_matrix(p) - build_density_matrix_oracle(p)))
-        worst = max(worst, delta)
+        factor = build_density_matrix(p)
+        oracle = build_density_matrix_oracle(p)
+        elements = density_elements(p)
+        for a, b in ((factor, oracle), (factor, elements), (oracle, elements)):
+            worst = max(worst, np.max(np.abs(a - b)))
     assert worst <= 1e-12
 
 
@@ -178,3 +183,40 @@ def test_oracle_accepts_general_pump():
         rho = build_density_matrix_oracle(params_with(), pump=random_density(rng, 2))
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+def _near_rank_deficient_settings():
+    """Settings with 1-P and 1-mu log-uniform in [1e-12, 1e-3], and the saturating ones."""
+    rng = np.random.default_rng(59)
+    settings = []
+    for _ in range(57):
+        near = 10.0 ** rng.uniform(-12.0, -3.0, size=2)
+        settings.append(replace(random_params(rng), pump_p=1.0 - near[0], mu=1.0 - near[1]))
+    return settings + [saturating_config(pump_p)[0] for pump_p in (0.0, 0.3, 1.0)]
+
+
+def test_concurrence_of_near_rank_deficient_states_is_exact():
+    settings = _near_rank_deficient_settings()
+    reference = np.array([source_concurrence_mp(p) for p in settings])
+    columns = [np.array([getattr(p, name) for p in settings]) for name in COLUMNS]
+    _, s = _wootters_stack(_density_stack(*columns), trace_tol=BUILT_TRACE_TOL)
+    sweep_error = np.abs(_concurrence_from_s(*s.T) - reference)
+    scalar = np.array([concurrence(build_density_matrix(p)) for p in settings])
+    scalar_error = np.abs(scalar - reference)
+    assert sweep_error.max() <= 1e-14, settings[int(np.argmax(sweep_error))]
+    assert scalar_error.max() <= 1e-14, settings[int(np.argmax(scalar_error))]
+
+
+def test_two_level_concurrence_closed_form():
+    batch = _evaluate(SweepConfig(n_samples=4096, seed=60, mode="two_d"), 0, 4096)
+    cols = batch["columns"]
+    pump_p, theta1, alpha1 = (
+        cols[:, COLUMNS.index(name)] for name in ("pump_p", "theta1", "alpha1")
+    )
+    exact = pump_p * np.sqrt(np.cos(alpha1) ** 2 * np.cos(2.0 * theta1) ** 2 + np.sin(alpha1) ** 2)
+    assert np.max(np.abs(batch["concurrence"] - exact)) <= 1e-14
+    # at alpha1 = pi/2 the two-level bound C <= P is reached for every theta1
+    for theta1 in (0.0, 0.3, math.pi / 4.0, 1.0, 2.5):
+        for pump_p in (0.0, 0.37, 0.8, 1.0):
+            p = params_with(t=1.0, theta1=theta1, alpha1=math.pi / 2.0, pump_p=pump_p)
+            assert concurrence(build_density_matrix(p)) == pytest.approx(pump_p, abs=1e-15)

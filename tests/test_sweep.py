@@ -331,22 +331,26 @@ _BAD_STATES = (37, 60)  # positions inside the second batch
 
 
 def _plant_bad_states(monkeypatch):
-    """Make the builders return unphysical states at _BAD_STATES of the second batch."""
+    """Make the builder return factors of unphysical states at _BAD_STATES of the second batch.
+
+    The builders return factors G of rho = G G^dag, which is PSD for any G,
+    so the planted factor breaks the trace rule: G = I gives trace 4.
+    """
     original = pumplimit.scheme._density_stack
 
     def with_bad_states(*args):
-        rhos = original(*args)
-        if rhos.shape[0] < _BATCH:
+        g = original(*args)
+        if g.shape[0] < _BATCH:
             for k in _BAD_STATES:
-                rhos[k] = np.diag([1.5, -0.5, 0.0, 0.0])
-        return rhos
+                g[k] = np.eye(4)
+        return g
 
     monkeypatch.setattr(pumplimit.scheme, "_density_stack", with_bad_states)
 
 
 def test_gate_failure_names_sample_id(monkeypatch):
     _plant_bad_states(monkeypatch)
-    with pytest.raises(InvalidDensityMatrixError, match="negative eigenvalue") as info:
+    with pytest.raises(InvalidDensityMatrixError, match="trace 4 is not 1") as info:
         run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
     assert f"sample_id={_BATCH + _BAD_STATES[0]}:" in str(info.value)
     assert info.value.index == _BATCH + 37
