@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BadParameterError, DimensionMismatchError
 from .linalg import (
+    _is_int,
     as_matrix,
     dagger,
     generator_from_seed,
@@ -125,7 +126,7 @@ def random_mixed_unitary_channel(k: int, seed: int) -> KrausChannel:
 
     Doubly stochastic by construction and deterministic given ``seed``.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise BadParameterError(f"k must be a positive integer, got {k!r}")
     rng = generator_from_seed(seed)
     probs = rng.dirichlet(np.ones(int(k)))

@@ -39,7 +39,13 @@ class NotPSDError(InvalidDensityMatrixError):
 
 
 class InvalidSpectrumError(PumpLimitError):
-    """Values are not a valid non-ascending probability spectrum."""
+    """Values are not a valid non-ascending probability spectrum.
+
+    ``index`` is the flat position, in the checked stack, of the first
+    spectrum that failed.
+    """
+
+    index: int | None = None
 
 
 class NotTwoDError(PumpLimitError):

@@ -86,7 +86,7 @@ def hermitian_eig(m):
     sorted non-ascending and the matching eigenvector columns of a unitary
     matrix, so ``m = vectors @ diag(values) @ vectors^dag`` up to rounding.
     """
-    _, (w, v) = check_states(as_matrix(m), trace_tol=math.inf, eig_floor=math.inf, vectors=True)
+    w, v = check_states(as_matrix(m), trace_tol=math.inf, eig_floor=math.inf, vectors=True)
     return w[::-1], v[:, ::-1]
 
 
@@ -96,7 +96,7 @@ def sqrt_psd(m) -> np.ndarray:
     The Hermiticity and PSD rules of :func:`check_states` apply; eigenvalues
     in ``[-PSD_TOL, 0)`` are rounding noise and count as zero.
     """
-    _, (w, v) = check_states(as_matrix(m), trace_tol=math.inf, vectors=True)
+    w, v = check_states(as_matrix(m), trace_tol=math.inf, vectors=True)
     w, v = w[::-1], v[:, ::-1]
     root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))) @ dagger(v)
     return (root + dagger(root)) / 2.0
@@ -117,11 +117,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed, error=BadParameterError) -> int:
+    """``seed`` as an int, or ``error`` if it is not an integer in [0, SEED_LIMIT)."""
+    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
+        raise error(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return int(seed)
+
+
 def generator_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator: Philox keyed directly by ``seed``."""
-    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
-        raise BadParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,10 +186,10 @@ def check_states(
     The rules, checked in order: square trailing axes with ``n`` in ``dims``,
     Hermiticity within ``herm_tol`` (max norm), unit trace within
     ``trace_tol`` and no eigenvalue below ``-eig_floor``.  The eigenvalues
-    are those of the Hermitian part ``h = (m + m^dag)/2``, from ``eigvalsh``
-    or, with ``vectors``, from ``eigh``.  Returns ``(h, w)`` or, with
-    ``vectors``, ``(h, (w, v))``, eigenvalues ascending, so that callers
-    reuse the one decomposition.
+    are those of the Hermitian part ``(m + m^dag)/2``, from ``eigvalsh`` or,
+    with ``vectors``, from ``eigh``.  Returns ``w`` or, with ``vectors``,
+    ``(w, v)``, eigenvalues ascending, so that callers reuse the one
+    decomposition.
 
     This is the one place where the Hermiticity, trace and PSD rules are
     applied; every other check and decomposition in the package calls it.
@@ -219,7 +224,7 @@ def check_states(
     low = (eig[0] if vectors else eig)[..., 0]
     if not low.min() >= -eig_floor:
         _reject(NotPSDError, low >= -eig_floor, low, "negative eigenvalue {:.3e}")
-    return h, eig
+    return eig
 
 
 def _reject(error, ok, values, message: str):
@@ -245,27 +250,38 @@ def validate_density_matrix(
     a = as_matrix(m)
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    _, w = check_states(a, herm_tol=herm_tol, trace_tol=trace_tol)
-    return w[::-1]
+    return check_states(a, herm_tol=herm_tol, trace_tol=trace_tol)[::-1]
 
 
 def validate_spectrum(values, dim: int = 4, tol: float = 1e-10) -> np.ndarray:
-    """Validate a density-matrix spectrum.
+    """Validate a density-matrix spectrum; stack-aware.
 
-    Requires exactly ``dim`` values, sorted non-ascending, nonnegative and
-    summing to one within ``tol``.  Returns the values as floats with any
-    negative rounding noise clamped to zero.
+    A 1-D input is one spectrum, a deeper one a stack of spectra along its
+    last axis.  The rules, checked in order: exactly ``dim`` values, all
+    finite, sorted non-ascending, the last at least ``-tol``, and a sum
+    (first to last) within ``tol`` of one.  Returns the values as floats
+    with any negative rounding noise clamped to zero.  A broken rule raises
+    InvalidSpectrumError whose ``index`` is the flat position, over the
+    leading axes, of the first spectrum that breaks it.
     """
-    w = np.asarray(values, dtype=float).reshape(-1)
-    if w.size != dim:
-        raise InvalidSpectrumError(f"expected {dim} values, got {w.size}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidSpectrumError("spectrum contains non-finite values")
-    if np.any(np.diff(w) > 0.0):
-        raise InvalidSpectrumError("values are not sorted non-ascending")
-    if w[-1] < -tol:
-        raise InvalidSpectrumError(f"negative weight {w[-1]:.3e}")
-    total = float(w.sum())
-    if abs(total - 1.0) > tol:
-        raise InvalidSpectrumError(f"sum {total:.12g} is not 1 within {tol:.1e}")
+    w = np.asarray(values, dtype=float)
+    if w.ndim < 2:
+        w = w.reshape(-1)
+    if w.shape[-1] != dim:
+        raise InvalidSpectrumError(f"expected {dim} values, got {w.shape[-1]}")
+    # the whole stack is tested first, a NaN or infinity failing the sum;
+    # the rule-by-rule pass that names the offender runs only on failure
+    total = sum((w[..., k] for k in range(1, dim)), w[..., 0])
+    ordered = np.logical_and.reduce([w[..., k] <= w[..., k - 1] for k in range(1, dim)])
+    summed = np.abs(total - 1.0) <= tol
+    if not (ordered & (w[..., -1] >= -tol) & summed).all():
+        rules = (
+            (np.isfinite(w).all(axis=-1), total, "spectrum contains non-finite values"),
+            (ordered, total, "values are not sorted non-ascending"),
+            (w[..., -1] >= -tol, w[..., -1], "negative weight {:.3e}"),
+            (summed, total, f"sum {{:.12g}} is not 1 within {tol:.1e}"),
+        )
+        for ok, found, message in rules:
+            if not ok.all():
+                _reject(InvalidSpectrumError, ok, found, message)
     return np.where(w < 0.0, 0.0, w)

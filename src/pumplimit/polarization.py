@@ -77,7 +77,7 @@ def polar_decompose(j) -> PolarizationDecomposition:
     so the choice carries no physical content).
     """
     a = as_matrix(j, dims=(2,))
-    _, eig = check_states(a, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL, vectors=True)
+    eig = check_states(a, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL, vectors=True)
     p, psi = polarized_part(*eig)
     return PolarizationDecomposition(p=p, pure_state=psi, unpolarized_weight=1.0 - p)
 

@@ -20,15 +20,18 @@ Every stage (drawing, building, the Wootters kernel, rendering, the audit
 and the CSV reader) works on batches of 2048 samples, a working set that
 stays in cache, and the batch tasks are made only as they are consumed, so
 the memory of :func:`sweep_to_csv` and :func:`verify_csv` does not grow
-with ``n``.
+with ``n``.  A batch has one layout from draw to disk: the pair
+``(ids, values)`` of its int64 ``sample_id``s and an ``(n, 15)`` float
+array whose columns are the CSV fields after ``sample_id``, in file order.
 
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
-sequence backed by column arrays: each :class:`SweepRecord` is built when it
-is accessed, and :func:`verify_bounds` audits the columns without building
-any.  The audit recomputes both bounds from ``pump_p`` and trusts no stored
-bound column; a NaN slack counts as a violation.  A CSV is read only if its
-``sample_id``s are nonnegative integers that strictly increase down the file
-and every stored spectrum passes :func:`~pumplimit.linalg.validate_spectrum`.
+sequence backed by the same two arrays: each :class:`SweepRecord` is built
+when it is accessed, and :func:`verify_bounds` audits the values without
+building any.  The audit recomputes both bounds from ``pump_p`` and trusts
+no stored bound column; a NaN slack counts as a violation.  A CSV is read
+only if its ``sample_id``s are nonnegative integers that strictly increase
+down the file and its stored spectra, as one stack, pass
+:func:`~pumplimit.linalg.validate_spectrum`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
-from .linalg import SEED_LIMIT, _is_int, validate_spectrum
+from .linalg import _check_seed, _is_int, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -88,11 +91,14 @@ _BLOCKS_PER_SAMPLE = 2
 # must not depend on the worker count
 _BATCH = 2048
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
-# ("-4.9406564584124654e-324") in a row laid out by _render_rows
+# ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
 _N_FIELDS = CSV_HEADER.count(",") + 1
-_UNIT_INDEX = [COLUMNS.index(name) for name in _UNIT_INTERVAL]
-_P, _T = COLUMNS.index("pump_p"), COLUMNS.index("t")
+#: columns of a batch's values: the CSV fields after sample_id, settings first
+_VALUE_FIELDS = CSV_HEADER.split(",")[1:]
+_P, _T, _C = (_VALUE_FIELDS.index(name) for name in ("pump_p", "t", "concurrence"))
+_SPECTRUM = slice(_VALUE_FIELDS.index("lambda1"), _VALUE_FIELDS.index("lambda4") + 1)
+_UNIT_INDEX = [_VALUE_FIELDS.index(name) for name in _UNIT_INTERVAL]
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,8 @@ class SweepConfig:
 
     ``two_d`` mode pins the beam splitter at t = 1 so that every generated
     state is confined to the |HH>, |VV> block.  ``param_ranges`` entries
-    override :data:`DEFAULT_RANGES` per parameter.
+    override :data:`DEFAULT_RANGES` per parameter and are kept as the
+    checked ``(lo, hi)`` float pairs that the draws use.
     """
 
     n_samples: int
@@ -113,23 +120,26 @@ class SweepConfig:
     def __post_init__(self):
         if not _is_int(self.n_samples) or self.n_samples < 1:
             raise BadConfigError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
-            raise BadConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        _check_seed(self.seed, BadConfigError)
         if self.mode not in MODES:
             raise BadConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not _is_int(self.workers) or self.workers < 1:
             raise BadConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        checked = {}
         for name, bounds in (self.param_ranges or {}).items():
             if name not in COLUMNS:
                 raise BadConfigError(f"unknown parameter {name!r}")
             try:
-                lo, hi = (float(bounds[0]), float(bounds[1]))
-            except (TypeError, ValueError, IndexError) as exc:
+                lo, hi = map(float, bounds)
+            except (TypeError, ValueError) as exc:
                 raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair") from exc
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            if not math.isfinite(hi - lo) or lo > hi:
                 raise BadConfigError(f"bad range for {name!r}: ({lo}, {hi})")
             if name in _UNIT_INTERVAL and not (0.0 <= lo and hi <= 1.0):
                 raise BadConfigError(f"range for {name!r} must stay within [0, 1]")
+            checked[name] = (lo, hi)
+        if self.param_ranges is not None:
+            object.__setattr__(self, "param_ranges", checked)
 
     def ranges(self) -> dict:
         merged = dict(DEFAULT_RANGES)
@@ -149,58 +159,39 @@ class SweepRecord:
     spectrum: np.ndarray
 
 
-#: column arrays behind a SweepRecords, with the trailing shape of each
-_RECORD_COLUMNS = {
-    "sample_id": (),
-    "columns": (len(COLUMNS),),
-    "concurrence": (),
-    "bound_general": (),
-    "bound_2d": (),
-    "spectrum": (4,),
-}
-
-
 class SweepRecords(Sequence):
-    """Sweep records in sample order, held as one array per column.
+    """Sweep records in sample order, held as one ``(ids, values)`` pair.
 
     Indexing (and so iteration) builds each :class:`SweepRecord` on access;
-    slicing returns another SweepRecords over views of the same columns.
+    slicing returns another SweepRecords over views of the same arrays.
     """
 
-    def __init__(self, batches: list[dict]):
-        if len(batches) == 1:  # a slice, or a one-batch sweep: keep the arrays
-            self._cols = {key: batches[0][key] for key in _RECORD_COLUMNS}
-            return
-        self._cols = {
-            key: np.concatenate([b[key] for b in batches])
-            if batches
-            else np.empty((0,) + shape, dtype=np.int64 if key == "sample_id" else float)
-            for key, shape in _RECORD_COLUMNS.items()
-        }
+    def __init__(self, batches: list[tuple]):
+        batches = batches or [(np.empty(0, np.int64), np.empty((0, len(_VALUE_FIELDS))))]
+        if len(batches) == 1:  # a slice, a one-batch sweep or no rows: keep the arrays
+            self._ids, self._values = batches[0]
+        else:
+            self._ids, self._values = (np.concatenate(part) for part in zip(*batches))
 
     def __len__(self) -> int:
-        return self._cols["sample_id"].shape[0]
+        return self._ids.shape[0]
 
     def __getitem__(self, index):
-        cols = self._cols
         if isinstance(index, slice):
-            return SweepRecords([{key: value[index] for key, value in cols.items()}])
+            return SweepRecords([(self._ids[index], self._values[index])])
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"record index {index} out of range for {len(self)} records")
+        row = self._values[i]
+        conc, general, two_d = row[_C : _C + 3].tolist()
         return SweepRecord(
-            sample_id=int(cols["sample_id"][i]),
-            params=SchemeParams(**dict(zip(COLUMNS, cols["columns"][i].tolist()))),
-            concurrence=float(cols["concurrence"][i]),
-            bound_general=float(cols["bound_general"][i]),
-            bound_2d=float(cols["bound_2d"][i]),
-            spectrum=cols["spectrum"][i].copy(),
+            sample_id=int(self._ids[i]),
+            params=SchemeParams(**dict(zip(COLUMNS, row[: len(COLUMNS)].tolist()))),
+            concurrence=conc,
+            bound_general=general,
+            bound_2d=two_d,
+            spectrum=row[_SPECTRUM].copy(),
         )
-
-    def _batches(self) -> Iterator[dict]:
-        """Views of the columns, _BATCH rows at a time."""
-        for lo in range(0, len(self), _BATCH):
-            yield {key: value[lo : lo + _BATCH] for key, value in self._cols.items()}
 
 
 def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
@@ -212,68 +203,43 @@ def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
     bits = np.random.Philox(key=int(cfg.seed), counter=start * _BLOCKS_PER_SAMPLE)
     u = np.random.Generator(bits).random((stop - start, len(COLUMNS)))
     ranges = cfg.ranges()
-    out = np.empty_like(u)
-    for j, name in enumerate(COLUMNS):
-        lo, hi = ranges[name]
-        out[:, j] = lo + (hi - lo) * u[:, j]
+    lo, hi = np.array([ranges[name] for name in COLUMNS]).T
+    out = lo + (hi - lo) * u
     if cfg.mode == "two_d":
         out[:, COLUMNS.index("t")] = 1.0
     return out
 
 
-def _evaluate(cfg: SweepConfig, start: int, stop: int):
-    """Columns, concurrence, bounds and spectra for samples [start, stop).
+def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(ids, values)`` batch of samples [start, stop).
 
-    Every state passes the physicality gate of the builders inside the
-    Wootters kernel; a state that fails it raises
-    InvalidDensityMatrixError naming its ``sample_id``.
+    ``values`` holds the settings, the concurrence, both bounds and the
+    spectrum in CSV column order.  Every state passes the physicality gate
+    of the builders inside the Wootters kernel; a state that fails it
+    raises InvalidDensityMatrixError naming its ``sample_id``.
     """
-    cols = _draw_columns(cfg, start, stop)
-    pump_p, t, th1, th2, a1, a2, mu, g0 = (cols[:, j] for j in range(len(COLUMNS)))
-    g = scheme._density_stack(pump_p, t, th1, th2, a1, a2, mu, g0)
+    settings = _draw_columns(cfg, start, stop)
+    pump_p = settings[:, _P]
+    g = scheme._density_stack(*settings.T)
     try:
-        spectra, s = _wootters_stack(g, trace_tol=scheme.BUILT_TRACE_TOL)
+        spectra, s = _wootters_stack(g)
     except InvalidDensityMatrixError as exc:
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index
         raise failure from exc
     conc = _concurrence_from_s(*s.T)
-    return {
-        "sample_id": np.arange(start, stop, dtype=np.int64),
-        "columns": cols,
-        "concurrence": conc,
-        "bound_general": (1.0 + pump_p) / 2.0,
-        "bound_2d": pump_p,
-        "spectrum": spectra,
-    }
+    values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
+    return np.arange(start, stop, dtype=np.int64), values
 
 
-def _render_csv(batch) -> bytes:
-    """One CSV text block (no header) for an evaluated batch.
+def _render_csv(ids: np.ndarray, values: np.ndarray) -> bytes:
+    """One CSV text block (no header) for a batch's int64 ids and (n, 15) values.
 
     The bytes are those of the row template ``"%d" + ",%.17g" * 15``:
-    :func:`_fixed17` renders the values it covers and ``%`` the rest.
-    """
-    ids = batch["sample_id"]
-    values = np.concatenate(
-        [
-            batch["columns"],
-            batch["concurrence"][:, None],
-            batch["bound_general"][:, None],
-            batch["bound_2d"][:, None],
-            batch["spectrum"],
-        ],
-        axis=1,
-    )
-    return _render_rows(ids, values)
-
-
-def _render_rows(ids: np.ndarray, values: np.ndarray) -> bytes:
-    """CSV rows for int64 ids and an (n, 15) float array.
-
-    Each row is laid out in a fixed-width NUL-padded buffer (the id, then a
-    comma and a text slot per value, then a newline); dropping the NULs
-    packs it into the row bytes.
+    :func:`_fixed17` renders the values it covers and ``%`` the rest.  Each
+    row is laid out in a fixed-width NUL-padded buffer (the id, then a comma
+    and a text slot per value, then a newline); dropping the NULs packs it
+    into the row bytes.
     """
     rows = len(ids)
     x = values.ravel()
@@ -399,8 +365,8 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
 
 def _csv_task(args) -> tuple[bytes, tuple]:
     cfg, start, stop = args
-    batch = _evaluate(cfg, start, stop)
-    return _render_csv(batch), _accumulate(batch)
+    ids, values = _evaluate(cfg, start, stop)
+    return _render_csv(ids, values), _accumulate(values)
 
 
 def _batch_task(args):
@@ -467,16 +433,14 @@ class BoundReport:
         self.decile_max = np.fmax(self.decile_max, dec)
 
 
-def _accumulate(batch) -> tuple:
+def _accumulate(values: np.ndarray) -> tuple:
     """Per-batch audit summary, fold-able into a BoundReport.
 
-    Both bounds are recomputed from ``pump_p``; the stored bound columns are
-    not read.  A NaN slack fails ``slack >= -BOUND_TOL`` and so counts as a
-    violation.
+    ``values`` needs only the settings and concurrence columns.  Both bounds
+    are recomputed from ``pump_p``; the stored bound columns are not read.
+    A NaN slack fails ``slack >= -BOUND_TOL`` and so counts as a violation.
     """
-    conc = batch["concurrence"]
-    pump_p = batch["columns"][:, _P]
-    t = batch["columns"][:, _T]
+    conc, pump_p, t = values[:, _C], values[:, _P], values[:, _T]
     slack = (1.0 + pump_p) / 2.0 - conc
     two_d = t == 1.0
     slack = np.where(two_d, np.minimum(slack, pump_p - conc), slack)
@@ -490,59 +454,44 @@ def _accumulate(batch) -> tuple:
     return conc.size, violations, worst, max_gen, max_2d, dec
 
 
-def _check_params(batch) -> None:
-    """Reject a batch whose settings SchemeParams would refuse.
+def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
+    """Reject a batch whose settings or spectra SchemeParams or validate_spectrum would refuse.
 
     Every setting must be finite and ``pump_p``, ``t`` and ``mu`` must lie
     in [0, 1]; the first failing row is rebuilt as SchemeParams so that the
-    error names its setting, prefixed by its ``sample_id``.
+    error names its setting.  The spectra go through validate_spectrum as
+    one stack.  Either error is prefixed by the failing row's ``sample_id``.
     """
-    cols = batch["columns"]
-    unit = cols[:, _UNIT_INDEX]
-    ok = np.isfinite(cols).all(axis=1) & ((unit >= 0.0) & (unit <= 1.0)).all(axis=1)
+    settings = values[:, : len(COLUMNS)]
+    unit = values[:, _UNIT_INDEX]
+    ok = np.isfinite(settings).all(axis=1) & ((unit >= 0.0) & (unit <= 1.0)).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
         try:
-            SchemeParams(**dict(zip(COLUMNS, cols[i].tolist())))
+            SchemeParams(**dict(zip(COLUMNS, settings[i].tolist())))
         except BadParameterError as exc:
-            raise BadParameterError(f"sample_id={batch['sample_id'][i]}: {exc}") from None
+            raise BadParameterError(f"sample_id={ids[i]}: {exc}") from None
+    try:
+        validate_spectrum(values[:, _SPECTRUM])
+    except InvalidSpectrumError as exc:
+        raise InvalidSpectrumError(f"sample_id={ids[exc.index]}: {exc}") from None
 
 
-def _check_spectra(batch) -> None:
-    """Reject a batch with a spectrum that validate_spectrum would refuse.
-
-    Each row's four eigenvalues must be non-ascending, the last at least
-    -1e-10 and their sum within 1e-10 of one; the first failing row is
-    re-checked with validate_spectrum so that the error names its rule,
-    prefixed by its ``sample_id``.
-    """
-    w1, w2, w3, w4 = batch["spectrum"].T
-    ok = (w2 <= w1) & (w3 <= w2) & (w4 <= w3) & (w4 >= -1e-10)
-    ok &= np.abs(w1 + w2 + w3 + w4 - 1.0) <= 1e-10  # summed in validate_spectrum's order
-    if not ok.all():
-        i = int(np.argmin(ok))
-        try:
-            validate_spectrum(batch["spectrum"][i])
-        except InvalidSpectrumError as exc:
-            raise InvalidSpectrumError(f"sample_id={batch['sample_id'][i]}: {exc}") from None
-
-
-def _records_from_batch(batch, out: list) -> None:
-    """Check a batch's settings and spectra once, then keep its columns for SweepRecords."""
-    _check_params(batch)
-    _check_spectra(batch)
-    out.append(batch)
+def _records_from_batch(ids: np.ndarray, values: np.ndarray, out: list) -> None:
+    """Check a batch's settings and spectra once, then keep it for SweepRecords."""
+    _check_batch(ids, values)
+    out.append((ids, values))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepRecords:
     """All sample records, in sample-id order.
 
-    Holds every sample's columns in memory; for very large sweeps prefer
+    Holds every sample's values in memory; for very large sweeps prefer
     :func:`sweep_to_csv`, which streams.
     """
-    batches: list[dict] = []
-    for batch in _ordered_map(_batch_task, _batches(cfg), cfg.workers):
-        _records_from_batch(batch, batches)
+    batches: list[tuple] = []
+    for ids, values in _ordered_map(_batch_task, _batches(cfg), cfg.workers):
+        _records_from_batch(ids, values, batches)
     return SweepRecords(batches)
 
 
@@ -585,38 +534,31 @@ def _write_csv(cfg: SweepConfig, handle) -> BoundReport:
     return report
 
 
-def _record_batches(records: Iterable[SweepRecord]) -> Iterator[dict]:
-    """The columns ``_accumulate`` reads, at most _BATCH records at a time."""
+def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
+    """The values ``_accumulate`` reads, at most _BATCH records at a time.
+
+    Plain records are packed into the settings-and-concurrence prefix of
+    the values layout.
+    """
     if isinstance(records, SweepRecords):
-        yield from records._batches()
+        for lo in range(0, len(records), _BATCH):
+            yield records._values[lo : lo + _BATCH]
         return
-    chunk: list[SweepRecord] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= _BATCH:
-            yield _pack(chunk)
-            chunk = []
-    if chunk:
-        yield _pack(chunk)
-
-
-def _pack(chunk: list) -> dict:
-    return {
-        "concurrence": np.array([r.concurrence for r in chunk]),
-        "columns": np.array([[getattr(r.params, name) for name in COLUMNS] for r in chunk]),
-    }
+    records = iter(records)
+    while chunk := list(islice(records, _BATCH)):
+        yield np.array([[getattr(r.params, n) for n in COLUMNS] + [r.concurrence] for r in chunk])
 
 
 def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
     """Audit records against the bounds (see :class:`BoundReport`)."""
     report = BoundReport()
-    for batch in _record_batches(records):
-        report._fold(_accumulate(batch))
+    for values in _record_values(records):
+        report._fold(_accumulate(values))
     return report
 
 
-def _columns_from_csv(path) -> Iterator[dict]:
-    """The file's rows, _BATCH lines at a time, as the column dict of a batch."""
+def _columns_from_csv(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The file's rows, _BATCH lines at a time, as the ``(ids, values)`` of a batch."""
     with open(path, "r", encoding="ascii") as handle:
         header = handle.readline().strip()
         if header != CSV_HEADER:
@@ -630,14 +572,7 @@ def _columns_from_csv(path) -> Iterator[dict]:
                 continue
             ids = _sample_ids(data[:, 0], lines, path, last_id)
             last_id = data[-1, 0]
-            yield {
-                "sample_id": ids,
-                "columns": data[:, 1:9],
-                "concurrence": data[:, 9],
-                "bound_general": data[:, 10],
-                "bound_2d": data[:, 11],
-                "spectrum": data[:, 12:16],
-            }
+            yield ids, data[:, 1:]
 
 
 def _is_row(line: str) -> bool:
@@ -715,18 +650,17 @@ def verify_csv(path) -> BoundReport:
     InvalidSpectrumError.
     """
     report = BoundReport()
-    for batch in _columns_from_csv(path):
-        _check_params(batch)
-        _check_spectra(batch)
-        report._fold(_accumulate(batch))
+    for ids, values in _columns_from_csv(path):
+        _check_batch(ids, values)
+        report._fold(_accumulate(values))
     return report
 
 
 def load_csv(path) -> SweepRecords:
     """Read a sweep CSV back into records (see :class:`SweepRecords`)."""
-    batches: list[dict] = []
-    for batch in _columns_from_csv(path):
-        _records_from_batch(batch, batches)
+    batches: list[tuple] = []
+    for ids, values in _columns_from_csv(path):
+        _records_from_batch(ids, values, batches)
     return SweepRecords(batches)
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     validate_density_matrix,
     validate_spectrum,
 )
+from .scheme import BUILT_TRACE_TOL
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -59,15 +60,16 @@ def _s_values(g: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.swapaxes(g, -1, -2) @ flipped, compute_uv=False)
 
 
-def _wootters_stack(g: np.ndarray, trace_tol: float):
+def _wootters_stack(g: np.ndarray):
     """Check the states ``G G^dag`` of a stack of factors, then return spectrum and s-values.
 
     The density-matrix rules of :func:`~pumplimit.linalg.check_states` are
-    applied to ``G G^dag`` with the given trace budget; its ``eigvalsh``
-    gives the spectrum.  Returns ``(spectrum, s)``, both sorted
-    non-ascending along the last axis.
+    applied to ``G G^dag`` with the trace budget of built states,
+    :data:`~pumplimit.scheme.BUILT_TRACE_TOL`; its ``eigvalsh`` gives the
+    spectrum.  Returns ``(spectrum, s)``, both sorted non-ascending along
+    the last axis.
     """
-    _, w = check_states(g @ dagger(g), dims=(4,), trace_tol=trace_tol)
+    w = check_states(g @ dagger(g), dims=(4,), trace_tol=BUILT_TRACE_TOL)
     return w[..., ::-1], _s_values(g)
 
 
@@ -77,7 +79,7 @@ def _factor(rhos) -> np.ndarray:
     Eigenvalues at or below ``4 eps`` times the largest are rounding noise
     of a rank-deficient state and count as zero.
     """
-    _, (w, v) = check_states(rhos, dims=(4,), vectors=True)
+    w, v = check_states(rhos, dims=(4,), vectors=True)
     floor = 4.0 * np.finfo(float).eps * w[..., -1:]
     return v * np.sqrt(np.where(w <= floor, 0.0, w))[..., None, :]
 

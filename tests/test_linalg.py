@@ -186,6 +186,33 @@ def test_validate_spectrum_rejects(values):
         validate_spectrum(values)
 
 
+def test_validate_spectrum_names_first_failing_spectrum():
+    rules = [
+        # (bad spectrum, the rule's message)
+        ([0.2, 0.5, 0.2, 0.1], "^values are not sorted non-ascending$"),
+        ([0.6, 0.3, 0.1001, -1e-4], "^negative weight -1.000e-04$"),
+        ([0.5, 0.3, 0.2, 0.1], "^sum 1.1 is not 1 within 1.0e-10$"),
+        ([0.5, 0.3, 0.2, np.nan], "^spectrum contains non-finite values$"),
+    ]
+    for bad, match in rules:
+        with pytest.raises(InvalidSpectrumError, match=match) as info:
+            validate_spectrum(bad)
+        assert info.value.index == 0
+        stack = np.tile([0.7, 0.2, 0.1, 0.0], (6, 1))
+        for k in (2, 4):
+            stack[k] = bad
+        with pytest.raises(InvalidSpectrumError, match=match) as info:
+            validate_spectrum(stack)
+        assert info.value.index == 2
+        with pytest.raises(InvalidSpectrumError, match=match) as info:
+            validate_spectrum(stack.reshape(2, 3, 4))
+        assert info.value.index == 2
+    clean = validate_spectrum(np.tile([0.6, 0.4, 0.0, -1e-12], (3, 1)))
+    assert clean.shape == (3, 4) and np.all(clean[:, -1] == 0.0)
+    with pytest.raises(InvalidSpectrumError, match="^expected 4 values, got 3$"):
+        validate_spectrum(np.full((6, 3), 1.0 / 3.0))
+
+
 def test_check_states_names_first_failing_state():
     off_diagonal = np.diag([0.25] * 4).astype(complex)
     off_diagonal[0, 1] = 0.1
@@ -204,8 +231,7 @@ def test_check_states_names_first_failing_state():
             check_states(stack)
         assert type(info.value) is error and isinstance(info.value, InvalidDensityMatrixError)
         assert info.value.index == 2
-    h, (w, v) = check_states(stack[:2], vectors=True)
-    np.testing.assert_array_equal(h, stack[:2])
+    w, v = check_states(stack[:2], vectors=True)
     np.testing.assert_allclose(w, np.full((2, 4), 0.25), atol=1e-15)
     assert v.shape == (2, 4, 4)
 

@@ -15,7 +15,7 @@ from pumplimit import (
     transform_fields,
 )
 from pumplimit.errors import NotPSDError
-from pumplimit.scheme import BUILT_TRACE_TOL, _density_stack, _validate_built
+from pumplimit.scheme import _density_stack, _validate_built
 from pumplimit.sweep import COLUMNS, SweepConfig, _evaluate, saturating_config
 from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
 from oracles import density_elements, random_density, source_concurrence_mp
@@ -199,7 +199,7 @@ def test_concurrence_of_near_rank_deficient_states_is_exact():
     settings = _near_rank_deficient_settings()
     reference = np.array([source_concurrence_mp(p) for p in settings])
     columns = [np.array([getattr(p, name) for p in settings]) for name in COLUMNS]
-    _, s = _wootters_stack(_density_stack(*columns), trace_tol=BUILT_TRACE_TOL)
+    _, s = _wootters_stack(_density_stack(*columns))
     sweep_error = np.abs(_concurrence_from_s(*s.T) - reference)
     scalar = np.array([concurrence(build_density_matrix(p)) for p in settings])
     scalar_error = np.abs(scalar - reference)
@@ -208,13 +208,13 @@ def test_concurrence_of_near_rank_deficient_states_is_exact():
 
 
 def test_two_level_concurrence_closed_form():
-    batch = _evaluate(SweepConfig(n_samples=4096, seed=60, mode="two_d"), 0, 4096)
-    cols = batch["columns"]
+    _, values = _evaluate(SweepConfig(n_samples=4096, seed=60, mode="two_d"), 0, 4096)
     pump_p, theta1, alpha1 = (
-        cols[:, COLUMNS.index(name)] for name in ("pump_p", "theta1", "alpha1")
+        values[:, COLUMNS.index(name)] for name in ("pump_p", "theta1", "alpha1")
     )
     exact = pump_p * np.sqrt(np.cos(alpha1) ** 2 * np.cos(2.0 * theta1) ** 2 + np.sin(alpha1) ** 2)
-    assert np.max(np.abs(batch["concurrence"] - exact)) <= 1e-14
+    conc = values[:, len(COLUMNS)]  # the column after the settings
+    assert np.max(np.abs(conc - exact)) <= 1e-14
     # at alpha1 = pi/2 the two-level bound C <= P is reached for every theta1
     for theta1 in (0.0, 0.3, math.pi / 4.0, 1.0, 2.5):
         for pump_p in (0.0, 0.37, 0.8, 1.0):

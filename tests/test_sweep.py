@@ -60,11 +60,22 @@ from pumplimit.sweep import (
         dict(n_samples=True, seed=1),
         dict(n_samples=10, seed=False),
         dict(n_samples=10, seed=1, workers=True),
+        dict(n_samples=10, seed=1, param_ranges={"theta1": (-1e308, 1e308)}),
+        dict(n_samples=10, seed=1, param_ranges={"t": (0.0, 0.5, 1.0)}),
     ],
 )
 def test_config_rejected(kwargs):
     with pytest.raises(BadConfigError):
         SweepConfig(**kwargs)
+
+
+def test_string_ranges_sweep_as_their_floats(tmp_path):
+    digests = []
+    for bounds in (("0", "1"), (0.0, 1.0)):
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(SweepConfig(n_samples=300, seed=4, param_ranges={"t": bounds}), path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_largest_seed_runs():
@@ -254,19 +265,8 @@ def test_records_immutable():
         record.concurrence = 0.0
 
 
-def _render_oracle(batch) -> bytes:
+def _render_oracle(ids, values) -> bytes:
     """The per-value renderer the template must match byte for byte."""
-    ids = batch["sample_id"]
-    values = np.concatenate(
-        [
-            batch["columns"],
-            batch["concurrence"][:, None],
-            batch["bound_general"][:, None],
-            batch["bound_2d"][:, None],
-            batch["spectrum"],
-        ],
-        axis=1,
-    )
     lines = []
     for i in range(ids.shape[0]):
         lines.append(str(int(ids[i])) + "," + ",".join(format(x, ".17g") for x in values[i]))
@@ -278,24 +278,17 @@ def test_render_matches_oracle_on_special_values():
     rng = np.random.default_rng(4)
     values = rng.choice(special, size=(25, 15))
     values[0] = special[:10] + special[:5]
-    batch = {
-        "sample_id": np.arange(2**31 - 3, 2**31 + 22, dtype=np.int64) * 3,
-        "columns": values[:, :8],
-        "concurrence": values[:, 8],
-        "bound_general": values[:, 9],
-        "bound_2d": values[:, 10],
-        "spectrum": values[:, 11:],
-    }
-    rendered = _render_csv(batch)
-    assert rendered == _render_oracle(batch)
+    batch = (np.arange(2**31 - 3, 2**31 + 22, dtype=np.int64) * 3, values)
+    rendered = _render_csv(*batch)
+    assert rendered == _render_oracle(*batch)
     assert rendered.startswith(b"6442450935,nan,inf,-inf,-0,0,4.9406564584124654e-324,1.0000000000000001e+300,")
 
 
 def test_render_matches_oracle_across_chunk_boundaries():
     n = 2 * _BATCH + 37
     batch = _evaluate(SweepConfig(n_samples=n, seed=21), 0, n)
-    rendered = _render_csv(batch)
-    assert rendered == _render_oracle(batch)
+    rendered = _render_csv(*batch)
+    assert rendered == _render_oracle(*batch)
     assert rendered.count(b"\n") == n
 
 
@@ -316,15 +309,8 @@ def test_render_matches_oracle_on_adversarial_values():
     values = np.concatenate([values, np.zeros(-values.size % 15)])
     assert values.size >= 10**5
     values = rng.permutation(values).reshape(-1, 15)
-    batch = {
-        "sample_id": np.arange(values.shape[0], dtype=np.int64),
-        "columns": values[:, :8],
-        "concurrence": values[:, 8],
-        "bound_general": values[:, 9],
-        "bound_2d": values[:, 10],
-        "spectrum": values[:, 11:],
-    }
-    assert _render_csv(batch) == _render_oracle(batch)
+    batch = (np.arange(values.shape[0], dtype=np.int64), values)
+    assert _render_csv(*batch) == _render_oracle(*batch)
 
 
 _BAD_STATES = (37, 60)  # positions inside the second batch
@@ -397,20 +383,19 @@ def test_sweep_keeps_symlinks_and_writes_pipes_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["expected.csv", "fifo", "link.csv", "target.csv"]
 
 
-def _records_oracle(batch) -> list:
-    """The per-row record builder that column-backed records must match."""
+def _records_oracle(ids, values) -> list:
+    """The per-row record builder that array-backed records must match."""
     out = []
-    cols = batch["columns"]
-    for i, sid in enumerate(batch["sample_id"]):
-        params = SchemeParams(**{name: cols[i, j] for j, name in enumerate(COLUMNS)})
+    for i, sid in enumerate(ids):
+        params = SchemeParams(**{name: values[i, j] for j, name in enumerate(COLUMNS)})
         out.append(
             SweepRecord(
                 sample_id=int(sid),
                 params=params,
-                concurrence=float(batch["concurrence"][i]),
-                bound_general=float(batch["bound_general"][i]),
-                bound_2d=float(batch["bound_2d"][i]),
-                spectrum=batch["spectrum"][i].copy(),
+                concurrence=float(values[i, 8]),
+                bound_general=float(values[i, 9]),
+                bound_2d=float(values[i, 10]),
+                spectrum=values[i, 11:15].copy(),
             )
         )
     return out
@@ -450,11 +435,11 @@ def two_batch_csv(tmp_path_factory):
 def test_records_match_seed_oracle(two_batch_csv):
     path, _ = two_batch_csv
     cfg = SweepConfig(n_samples=_BATCH + 37, seed=41)
-    expected = _records_oracle(_evaluate(cfg, 0, _BATCH)) + _records_oracle(
-        _evaluate(cfg, _BATCH, cfg.n_samples)
+    expected = _records_oracle(*_evaluate(cfg, 0, _BATCH)) + _records_oracle(
+        *_evaluate(cfg, _BATCH, cfg.n_samples)
     )
     _assert_same_records(run_sweep(cfg), expected)
-    loaded = [r for batch in _columns_from_csv(path) for r in _records_oracle(batch)]
+    loaded = [r for batch in _columns_from_csv(path) for r in _records_oracle(*batch)]
     _assert_same_records(load_csv(path), loaded)
     _assert_same_records(loaded, expected)
 
@@ -488,7 +473,7 @@ def test_sweep_records_sequence():
     part = records[100:250:50]
     assert isinstance(part, SweepRecords)
     assert [r.sample_id for r in part] == [100, 150, 200]
-    assert np.shares_memory(part._cols["concurrence"], records._cols["concurrence"])
+    assert np.shares_memory(part._values, records._values)
     assert [r.sample_id for r in records] == list(range(300))
     assert len(records[300:]) == 0
     for index in (300, -301):
