@@ -33,7 +33,7 @@ class KrausChannel:
 
     Validity (trace preservation, unitality) is checked by
     :func:`validate_doubly_stochastic`, never assumed.  Operators are stored
-    as read-only arrays.
+    once, as the read-only rows of ``stack``.
     """
 
     operators: tuple
@@ -44,20 +44,15 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.operators) == 0:
             raise BadParameterError("channel needs at least one Kraus operator")
-        ops = []
-        for op in self.operators:
-            a = np.array(as_matrix(op, dims=(4,)))
-            a.setflags(write=False)
-            ops.append(a)
-        object.__setattr__(self, "operators", tuple(ops))
-        stack = np.stack(ops)
+        stack = np.stack([as_matrix(op, dims=(4,)) for op in self.operators])
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(ops):
+            if len(labels) != len(stack):
                 raise DimensionMismatchError(
-                    f"{len(labels)} labels for {len(ops)} operators"
+                    f"{len(labels)} labels for {len(stack)} operators"
                 )
             object.__setattr__(self, "labels", labels)
 
@@ -65,17 +60,17 @@ class KrausChannel:
         return len(self.operators)
 
 
-def validate_doubly_stochastic(ch: KrausChannel, tol: float = CHANNEL_TOL):
+def validate_doubly_stochastic(ch: KrausChannel):
     """Return ``(trace_preserving, unital)`` for a channel.
 
     Each flag reports whether the corresponding operator sum is the identity
-    within ``tol`` in max norm.
+    within :data:`CHANNEL_TOL` in max norm.
     """
     eye = np.eye(4)
     adj = dagger(ch.stack)
-    tp_sum = np.sum(adj @ ch.stack, axis=0)
-    un_sum = np.sum(ch.stack @ adj, axis=0)
-    return bool(np.abs(tp_sum - eye).max() <= tol), bool(np.abs(un_sum - eye).max() <= tol)
+    tp_defect = np.abs(np.sum(adj @ ch.stack, axis=0) - eye).max()
+    un_defect = np.abs(np.sum(ch.stack @ adj, axis=0) - eye).max()
+    return bool(tp_defect <= CHANNEL_TOL), bool(un_defect <= CHANNEL_TOL)
 
 
 def apply_channel(ch: KrausChannel, state) -> np.ndarray:

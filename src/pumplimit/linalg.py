@@ -235,51 +235,46 @@ def _reject(error, ok, values, message: str):
     raise exc
 
 
-def validate_density_matrix(
-    m,
-    dim: int | None = None,
-    herm_tol: float = HERMITIAN_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> np.ndarray:
+def validate_density_matrix(m, dim: int | None = None) -> np.ndarray:
     """Check the density-matrix invariants and return the spectrum.
 
-    Verifies Hermiticity, unit trace and positive semidefiniteness (within
-    :data:`PSD_TOL`) with :func:`check_states`; returns the eigenvalues
+    Verifies Hermiticity, unit trace and positive semidefiniteness with
+    the default budgets of :func:`check_states`; returns the eigenvalues
     sorted non-ascending.  Raises InvalidDensityMatrixError on any violation.
     """
     a = as_matrix(m)
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    return check_states(a, herm_tol=herm_tol, trace_tol=trace_tol)[::-1]
+    return check_states(a)[::-1]
 
 
-def validate_spectrum(values, dim: int = 4, tol: float = 1e-10) -> np.ndarray:
-    """Validate a density-matrix spectrum; stack-aware.
+def validate_spectrum(values) -> np.ndarray:
+    """Validate a two-qubit density-matrix spectrum; stack-aware.
 
     A 1-D input is one spectrum, a deeper one a stack of spectra along its
-    last axis.  The rules, checked in order: exactly ``dim`` values, all
-    finite, sorted non-ascending, the last at least ``-tol``, and a sum
-    (first to last) within ``tol`` of one.  Returns the values as floats
-    with any negative rounding noise clamped to zero.  A broken rule raises
+    last axis.  The rules, checked in order: exactly four values, all
+    finite, sorted non-ascending, the last at least ``-PSD_TOL``, and a sum
+    (first to last) within ``TRACE_TOL`` of one.  Returns the values as
+    floats with any negative rounding noise clamped to zero.  A broken rule raises
     InvalidSpectrumError whose ``index`` is the flat position, over the
     leading axes, of the first spectrum that breaks it.
     """
     w = np.asarray(values, dtype=float)
     if w.ndim < 2:
         w = w.reshape(-1)
-    if w.shape[-1] != dim:
-        raise InvalidSpectrumError(f"expected {dim} values, got {w.shape[-1]}")
+    if w.shape[-1] != 4:
+        raise InvalidSpectrumError(f"expected 4 values, got {w.shape[-1]}")
     # the whole stack is tested first, a NaN or infinity failing the sum;
     # the rule-by-rule pass that names the offender runs only on failure
-    total = sum((w[..., k] for k in range(1, dim)), w[..., 0])
-    ordered = np.logical_and.reduce([w[..., k] <= w[..., k - 1] for k in range(1, dim)])
-    summed = np.abs(total - 1.0) <= tol
-    if not (ordered & (w[..., -1] >= -tol) & summed).all():
+    total = sum((w[..., k] for k in range(1, 4)), w[..., 0])
+    ordered = np.logical_and.reduce([w[..., k] <= w[..., k - 1] for k in range(1, 4)])
+    summed = np.abs(total - 1.0) <= TRACE_TOL
+    if not (ordered & (w[..., -1] >= -PSD_TOL) & summed).all():
         rules = (
             (np.isfinite(w).all(axis=-1), total, "spectrum contains non-finite values"),
             (ordered, total, "values are not sorted non-ascending"),
-            (w[..., -1] >= -tol, w[..., -1], "negative weight {:.3e}"),
-            (summed, total, f"sum {{:.12g}} is not 1 within {tol:.1e}"),
+            (w[..., -1] >= -PSD_TOL, w[..., -1], "negative weight {:.3e}"),
+            (summed, total, f"sum {{:.12g}} is not 1 within {TRACE_TOL:.1e}"),
         )
         for ok, found, message in rules:
             if not ok.all():

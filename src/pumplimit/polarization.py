@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .linalg import as_matrix, check_states, polarized_part, validate_density_matrix
+from .linalg import as_matrix, check_states, polarized_part
 
 J_HERMITIAN_TOL = 1e-12
 J_TRACE_TOL = 1e-12
@@ -23,9 +23,8 @@ J_TRACE_TOL = 1e-12
 
 def validate_polarization_matrix(j) -> np.ndarray:
     """Check the coherency-matrix invariants; return its spectrum (desc)."""
-    return validate_density_matrix(
-        j, dim=2, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL
-    )
+    a = as_matrix(j, dims=(2,))
+    return check_states(a, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL)[::-1]
 
 
 def canonical_pump(p: float) -> np.ndarray:

@@ -18,7 +18,8 @@ source's closed-form factor ``G`` (the arm maps times Cholesky factors of
 the pump moments <E_H E_H*> = <E_V E_V*> = 1/2, <E_H* E_V> = P/2 and of the
 inter-arm phase moments), while :func:`build_density_matrix_oracle` derives
 every moment from the arm transformation matrices and the pump coherency
-matrix.  The sweep hands ``G`` itself to the Wootters kernel.
+matrix.  Every built state, the sweep's too, passes one physicality gate that
+raises and never repairs; the sweep hands ``G`` itself to the Wootters kernel.
 """
 
 from __future__ import annotations
@@ -149,14 +150,14 @@ def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.
 
 
 def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
-    """Physicality gate for assembled states; violations are bugs, never repaired."""
+    """Physicality gate for a stack of built states; returns their spectra, non-ascending."""
     try:
-        check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
+        w = check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
         failure = type(exc)(f"{origin}: {exc}")
         failure.index = exc.index
         raise failure from exc
-    return rho
+    return w[..., ::-1]
 
 
 def build_density_matrix(params: SchemeParams) -> np.ndarray:
@@ -167,7 +168,9 @@ def build_density_matrix(params: SchemeParams) -> np.ndarray:
     above -1e-10); a violation raises rather than being projected away.
     """
     g = _density_stack(**vars(params))
-    return _validate_built(g @ dagger(g), "build_density_matrix")
+    rho = g @ dagger(g)
+    _validate_built(rho, "build_density_matrix")
+    return rho
 
 
 def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
@@ -213,4 +216,5 @@ def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
     rho[2, 1] = np.conj(rho[1, 2])
     rho[3, 1] = np.conj(rho[1, 3])
     rho[3, 2] = np.conj(rho[2, 3])
-    return _validate_built(rho, "build_density_matrix_oracle")
+    _validate_built(rho, "build_density_matrix_oracle")
+    return rho

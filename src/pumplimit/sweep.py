@@ -16,12 +16,12 @@ A vectorized renderer produces them exactly for the positive values that
 :func:`sweep_to_csv` replaces its target only once the whole sweep is
 written.
 
-Every stage (drawing, building, the Wootters kernel, rendering, the audit
-and the CSV reader) works on batches of 2048 samples, a working set that
-stays in cache, and the batch tasks are made only as they are consumed, so
-the memory of :func:`sweep_to_csv` and :func:`verify_csv` does not grow
-with ``n``.  A batch has one layout from draw to disk: the pair
-``(ids, values)`` of its int64 ``sample_id``s and an ``(n, 15)`` float
+Every stage (drawing, building, the source's gate, the Wootters kernel,
+rendering, the audit and the CSV reader) works on batches of 2048 samples, a
+working set that stays in cache, and the batch tasks are made only as they
+are consumed, so the memory of :func:`sweep_to_csv` and :func:`verify_csv`
+does not grow with ``n``.  A batch has one layout from draw to disk: the
+pair ``(ids, values)`` of its int64 ``sample_id``s and an ``(n, 15)`` float
 array whose columns are the CSV fields after ``sample_id``, in file order.
 
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
-from .linalg import _check_seed, _is_int, validate_spectrum
+from .linalg import _check_seed, _is_int, dagger, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -125,10 +125,14 @@ class SweepConfig:
             raise BadConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not _is_int(self.workers) or self.workers < 1:
             raise BadConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        if not isinstance(self.param_ranges, (Mapping, type(None))):
+            raise BadConfigError(f"param_ranges must be a mapping, got {self.param_ranges!r}")
         checked = {}
         for name, bounds in (self.param_ranges or {}).items():
             if name not in COLUMNS:
                 raise BadConfigError(f"unknown parameter {name!r}")
+            if isinstance(bounds, (str, bytes)):
+                raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair, got {bounds!r}")
             try:
                 lo, hi = map(float, bounds)
             except (TypeError, ValueError) as exc:
@@ -214,20 +218,20 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     """The ``(ids, values)`` batch of samples [start, stop).
 
     ``values`` holds the settings, the concurrence, both bounds and the
-    spectrum in CSV column order.  Every state passes the physicality gate
-    of the builders inside the Wootters kernel; a state that fails it
+    spectrum in CSV column order.  Every state passes the builders'
+    physicality gate, which gives the spectra; a state that fails it
     raises InvalidDensityMatrixError naming its ``sample_id``.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
     g = scheme._density_stack(*settings.T)
     try:
-        spectra, s = _wootters_stack(g)
+        spectra = scheme._validate_built(g @ dagger(g), "sweep")
     except InvalidDensityMatrixError as exc:
-        failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
+        failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc.__cause__}")
         failure.index = start + exc.index
         raise failure from exc
-    conc = _concurrence_from_s(*s.T)
+    conc = _concurrence_from_s(*_wootters_stack(g).T)
     values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
     return np.arange(start, stop, dtype=np.int64), values
 

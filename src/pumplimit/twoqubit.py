@@ -5,9 +5,10 @@ H -> 0, V -> 1 for each photon.  Concurrence is computed from a factor
 ``G`` of the state, ``rho = G G^dag``: the s-values of the spin-flip
 construction are the singular values of ``G^T (sy x sy) G`` (Wootters,
 PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)), so no square root of
-a noisy eigenvalue is ever taken.  The sweep hands over the source's exact
-closed-form factor; a state from outside is factored as ``V sqrt(w)`` from
-the ``eigh`` that its density-matrix check computes anyway.
+a noisy eigenvalue is ever taken.  :func:`_wootters_stack` is the one kernel
+and checks nothing: the sweep hands it the source's gated closed-form factor;
+a state from outside is factored as ``V sqrt(w)`` from the ``eigh`` that its
+density-matrix check computes anyway.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -31,7 +32,6 @@ from .linalg import (
     validate_density_matrix,
     validate_spectrum,
 )
-from .scheme import BUILT_TRACE_TOL
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -50,27 +50,14 @@ def spin_flip(rho) -> np.ndarray:
     return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * np.conj(a)[::-1, ::-1]
 
 
-def _s_values(g: np.ndarray) -> np.ndarray:
+def _wootters_stack(g: np.ndarray) -> np.ndarray:
     """s-values of the states ``G G^dag`` for a stack of factors ``G``.
 
     The singular values of ``G^T (sy x sy) G``, sorted non-ascending along
-    the last axis.
+    the last axis.  Callers pass factors of states already checked.
     """
     flipped = _FLIP_SIGNS[:, None] * g[..., ::-1, :]
     return np.linalg.svd(np.swapaxes(g, -1, -2) @ flipped, compute_uv=False)
-
-
-def _wootters_stack(g: np.ndarray):
-    """Check the states ``G G^dag`` of a stack of factors, then return spectrum and s-values.
-
-    The density-matrix rules of :func:`~pumplimit.linalg.check_states` are
-    applied to ``G G^dag`` with the trace budget of built states,
-    :data:`~pumplimit.scheme.BUILT_TRACE_TOL`; its ``eigvalsh`` gives the
-    spectrum.  Returns ``(spectrum, s)``, both sorted non-ascending along
-    the last axis.
-    """
-    w = check_states(g @ dagger(g), dims=(4,), trace_tol=BUILT_TRACE_TOL)
-    return w[..., ::-1], _s_values(g)
 
 
 def _factor(rhos) -> np.ndarray:
@@ -90,7 +77,7 @@ def wootters_spectrum(rho) -> np.ndarray:
     These are the square roots of the eigenvalues of rho rho~, sorted
     non-ascending.
     """
-    return _s_values(_factor(as_matrix(rho, dims=(4,))))
+    return _wootters_stack(_factor(as_matrix(rho, dims=(4,))))
 
 
 def _concurrence_from_s(s1, s2, s3, s4):
@@ -113,7 +100,7 @@ def concurrence_many(rhos) -> np.ndarray:
     Vectorized equivalent of :func:`concurrence`, with the same per-state
     checks.
     """
-    return _concurrence_from_s(*np.moveaxis(_s_values(_factor(rhos)), -1, 0))
+    return _concurrence_from_s(*np.moveaxis(_wootters_stack(_factor(rhos)), -1, 0))
 
 
 def unitary_max_concurrence(spectrum) -> float:
@@ -122,7 +109,7 @@ def unitary_max_concurrence(spectrum) -> float:
     For eigenvalues l1 >= l2 >= l3 >= l4 this is
     ``max(0, l1 - l3 - 2 sqrt(l2 l4))``.
     """
-    w = validate_spectrum(spectrum, dim=4)
+    w = validate_spectrum(spectrum)
     return float(max(0.0, w[0] - w[2] - 2.0 * math.sqrt(w[1] * w[3])))
 
 
@@ -133,7 +120,7 @@ def construct_max_entangled_state(spectrum) -> np.ndarray:
     ``F_{1,2} = (|HH> +- |VV>)/sqrt(2)``; its concurrence equals
     :func:`unitary_max_concurrence` of the spectrum.
     """
-    w = validate_spectrum(spectrum, dim=4)
+    w = validate_spectrum(spectrum)
     l1, l2, l3, l4 = (float(x) for x in w)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = (l1 + l3) / 2.0

@@ -1,0 +1,53 @@
+"""The package's modules form layers: each imports only from lower ranks."""
+
+import ast
+from pathlib import Path
+
+import pumplimit
+
+PACKAGE = Path(pumplimit.__file__).parent
+
+#: rank of each module; modules of equal rank do not know each other
+RANKS = {
+    "errors": 0,
+    "linalg": 1,
+    "polarization": 2,
+    "twoqubit": 2,
+    "channels": 2,
+    "scheme": 3,
+    "serialize": 4,
+    "sweep": 4,
+    "__init__": 5,  # re-exports the public names of the layers below
+    "cli": 6,
+    "__main__": 7,
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Package modules named by a file's ``from .x import`` and ``from . import x`` lines.
+
+    ``from . import name`` of a name that is not a module reads the package
+    itself, ``__init__``.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in RANKS else "__init__" for a in node.names)
+    return found
+
+
+def test_every_module_has_a_rank():
+    assert {path.stem for path in PACKAGE.glob("*.py")} == set(RANKS)
+
+
+def test_modules_import_only_from_lower_ranks():
+    upward = [
+        f"{path.stem} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(_package_imports(path))
+        if RANKS[name] >= RANKS[path.stem]
+    ]
+    assert upward == []

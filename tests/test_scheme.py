@@ -13,6 +13,7 @@ from pumplimit import (
     concurrence,
     is_two_d,
     transform_fields,
+    validate_density_matrix,
 )
 from pumplimit.errors import NotPSDError
 from pumplimit.scheme import _density_stack, _validate_built
@@ -133,6 +134,11 @@ def test_built_state_gate_keeps_failing_position():
     with pytest.raises(NotPSDError, match="^origin: negative eigenvalue") as info:
         _validate_built(stack, "origin")
     assert info.value.index == 3
+    rng = np.random.default_rng(53)
+    valid = np.array([build_density_matrix(random_params(rng)) for _ in range(5)])
+    spectra = _validate_built(valid, "origin")
+    for rho, spectrum in zip(valid, spectra):
+        np.testing.assert_array_equal(spectrum, validate_density_matrix(rho))
 
 
 def test_general_bound_over_random_settings():
@@ -199,7 +205,7 @@ def test_concurrence_of_near_rank_deficient_states_is_exact():
     settings = _near_rank_deficient_settings()
     reference = np.array([source_concurrence_mp(p) for p in settings])
     columns = [np.array([getattr(p, name) for p in settings]) for name in COLUMNS]
-    _, s = _wootters_stack(_density_stack(*columns))
+    s = _wootters_stack(_density_stack(*columns))
     sweep_error = np.abs(_concurrence_from_s(*s.T) - reference)
     scalar = np.array([concurrence(build_density_matrix(p)) for p in settings])
     scalar_error = np.abs(scalar - reference)

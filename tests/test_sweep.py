@@ -62,6 +62,8 @@ from pumplimit.sweep import (
         dict(n_samples=10, seed=1, workers=True),
         dict(n_samples=10, seed=1, param_ranges={"theta1": (-1e308, 1e308)}),
         dict(n_samples=10, seed=1, param_ranges={"t": (0.0, 0.5, 1.0)}),
+        dict(n_samples=10, seed=1, param_ranges={"t": "01"}),
+        dict(n_samples=10, seed=1, param_ranges=[("t", (0.0, 1.0))]),
     ],
 )
 def test_config_rejected(kwargs):
