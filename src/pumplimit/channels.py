@@ -49,6 +49,8 @@ class KrausChannel:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)):
+                raise BadParameterError(f"labels must be a list or tuple, got {self.labels!r}")
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != len(stack):
                 raise DimensionMismatchError(

@@ -3,7 +3,9 @@
 Matrices are plain numpy arrays of dtype complex128.  Everything here is a
 pure function of its inputs; randomness is always routed through an explicit
 seed or generator.  Helpers marked stack-aware accept arrays of shape
-``(..., n, n)`` and operate on the trailing two axes.
+``(..., n, n)`` and operate on the trailing two axes.  Every eigenvalue in
+the package comes from :func:`check_states`, the one caller of numpy's
+Hermitian eigensolvers.
 
 The deterministic generator used throughout the package is numpy's Philox
 (4x64, 10 rounds), keyed directly by the user-supplied seed, so streams are
@@ -60,21 +62,6 @@ def as_matrix(m, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
             f"unsupported dimension {a.shape[0]}, expected one of {dims}"
         )
     return a
-
-
-def _eigh(a):
-    """numpy eigh with the convergence failure mapped to NoConvergenceError."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-
-
-def _eigvalsh(a):
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
 
 
 def hermitian_eig(m):
@@ -199,7 +186,7 @@ def check_states(
     InvalidDensityMatrixError (NotHermitianError for the Hermiticity rule,
     NotPSDError for the PSD rule) whose ``index`` is the flat position, over
     the leading axes, of the first state that breaks it.  A NaN entry breaks
-    the Hermiticity rule.
+    the Hermiticity rule.  An eigensolver failure raises NoConvergenceError.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
@@ -220,7 +207,10 @@ def check_states(
             _reject(InvalidDensityMatrixError, np.abs(tr - 1.0) <= trace_tol, tr.real, message)
     h = a + adj
     h /= 2.0
-    eig = _eigh(h) if vectors else _eigvalsh(h)
+    try:
+        eig = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
     low = (eig[0] if vectors else eig)[..., 0]
     if not low.min() >= -eig_floor:
         _reject(NotPSDError, low >= -eig_floor, low, "negative eigenvalue {:.3e}")

@@ -34,7 +34,10 @@ def canonical_pump(p: float) -> np.ndarray:
     polarization is exactly ``p``.  This is the pump convention assumed by
     the closed-form factor of the source simulator.
     """
-    p = float(p)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise BadParameterError(f"degree of polarization must be a number, got {p!r}") from None
     if not np.isfinite(p) or not 0.0 <= p <= 1.0:
         raise BadParameterError(f"degree of polarization must be in [0, 1], got {p!r}")
     return np.array([[0.5, p / 2.0], [p / 2.0, 0.5]], dtype=complex)

@@ -68,7 +68,11 @@ class SchemeParams:
 
     def __post_init__(self):
         for name in PARAM_FIELDS:
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise BadParameterError(f"{name} must be a number, got {value!r}") from None
             if not math.isfinite(value):
                 raise BadParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

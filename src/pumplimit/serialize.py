@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import BadParameterError
-from .linalg import SUPPORTED_DIMS, as_matrix
+from .linalg import SUPPORTED_DIMS, _is_int, as_matrix
 from .scheme import PARAM_FIELDS, SchemeParams
 
 
@@ -33,13 +33,13 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise BadParameterError(f"expected a matrix object, got {type(obj).__name__}")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParameterError(f"malformed matrix object: {exc}") from exc
-    if dim not in SUPPORTED_DIMS:
-        raise BadParameterError(f"unsupported dim {dim}, expected one of {SUPPORTED_DIMS}")
+    if not _is_int(dim) or dim not in SUPPORTED_DIMS:
+        raise BadParameterError(f"dim must be an integer in {SUPPORTED_DIMS}, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise BadParameterError(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
@@ -80,8 +80,7 @@ def channel_from_json(obj) -> KrausChannel:
     if not isinstance(ops, list) or not ops:
         raise BadParameterError("'operators' must be a nonempty array")
     operators = tuple(matrix_from_json(o) for o in ops)
-    labels = obj.get("labels")
-    return KrausChannel(operators=operators, labels=tuple(labels) if labels else None)
+    return KrausChannel(operators=operators, labels=obj.get("labels"))
 
 
 def save_channel(path, ch: KrausChannel) -> None:
@@ -105,11 +104,7 @@ def params_from_json(obj) -> SchemeParams:
     unknown = [key for key in obj if key not in PARAM_FIELDS]
     if unknown:
         raise BadParameterError(f"unknown parameter keys: {', '.join(unknown)}")
-    try:
-        values = {name: float(obj[name]) for name in PARAM_FIELDS}
-    except (TypeError, ValueError) as exc:
-        raise BadParameterError(f"non-numeric parameter value: {exc}") from exc
-    return SchemeParams(**values)
+    return SchemeParams(**obj)
 
 
 def save_params(path, params: SchemeParams) -> None:

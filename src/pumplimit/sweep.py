@@ -367,15 +367,9 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _csv_task(args) -> tuple[bytes, tuple]:
-    cfg, start, stop = args
+def _csv_task(cfg: SweepConfig, start: int, stop: int) -> tuple[bytes, tuple]:
     ids, values = _evaluate(cfg, start, stop)
     return _render_csv(ids, values), _accumulate(values)
-
-
-def _batch_task(args):
-    cfg, start, stop = args
-    return _evaluate(cfg, start, stop)
 
 
 def _batches(cfg: SweepConfig) -> Iterator[tuple]:
@@ -384,7 +378,7 @@ def _batches(cfg: SweepConfig) -> Iterator[tuple]:
 
 
 def _ordered_map(func, tasks: Iterable, workers: int):
-    """Apply ``func`` over tasks, in order, with bounded parallelism.
+    """Apply ``func(*task)`` over tasks, in order, with bounded parallelism.
 
     Tasks are drawn from the iterable only as the window has room for them.
     A single task runs in this process: no pool starts for it.
@@ -393,7 +387,7 @@ def _ordered_map(func, tasks: Iterable, workers: int):
     head = list(islice(tasks, 2))
     if workers <= 1 or len(head) <= 1:
         for task in chain(head, tasks):
-            yield func(task)
+            yield func(*task)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
@@ -401,7 +395,7 @@ def _ordered_map(func, tasks: Iterable, workers: int):
         window = workers * 4
         pending = []
         for task in chain(head, tasks):
-            pending.append(pool.submit(func, task))
+            pending.append(pool.submit(func, *task))
             if len(pending) >= window:
                 yield pending.pop(0).result()
         while pending:
@@ -494,7 +488,7 @@ def run_sweep(cfg: SweepConfig) -> SweepRecords:
     :func:`sweep_to_csv`, which streams.
     """
     batches: list[tuple] = []
-    for ids, values in _ordered_map(_batch_task, _batches(cfg), cfg.workers):
+    for ids, values in _ordered_map(_evaluate, _batches(cfg), cfg.workers):
         _records_from_batch(ids, values, batches)
     return SweepRecords(batches)
 

@@ -12,7 +12,8 @@ density-matrix check computes anyway.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
-decomposition of states confined to two computational levels.
+decomposition of states confined to two computational levels, whose
+block is decomposed by ``check_states`` like every other state.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import numpy as np
 
 from .errors import NotTwoDError
 from .linalg import (
-    _eigh,
     as_matrix,
     check_states,
-    dagger,
     polarized_part,
     validate_density_matrix,
     validate_spectrum,
@@ -190,6 +189,7 @@ def two_d_decompose(rho, tol: float = TWO_D_TOL) -> TwoDDecomposition:
     mass = _off_support_mass(a, list(support))
     if mass > tol:
         raise NotTwoDError(f"off-support entry of magnitude {mass:.3e} exceeds {tol:.1e}")
+    # a checked state's block passes the Hermiticity and, by interlacing, PSD rules
     block = a[np.ix_(support, support)]
-    p_tilde, psi = polarized_part(*_eigh((block + dagger(block)) / 2.0))
+    p_tilde, psi = polarized_part(*check_states(block, trace_tol=math.inf, vectors=True))
     return TwoDDecomposition(support_indices=support, p_tilde=p_tilde, pure_state=psi)

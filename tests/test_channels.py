@@ -8,10 +8,12 @@ from pumplimit import (
     KrausChannel,
     apply_channel,
     canonical_pump,
+    channel_from_json,
     compose,
     concurrence,
     embed_pump,
     is_majorized_by,
+    matrix_to_json,
     random_haar_unitary,
     random_mixed_unitary_channel,
     validate_doubly_stochastic,
@@ -167,6 +169,15 @@ def test_channel_construction_rejects_bad_input():
         KrausChannel(operators=(np.eye(2),))
     with pytest.raises(DimensionMismatchError):
         KrausChannel(operators=(np.eye(4),), labels=("a", "b"))
+    with pytest.raises(BadParameterError):
+        KrausChannel(operators=(np.eye(4),), labels="a")
+    with pytest.raises(BadParameterError):
+        KrausChannel(operators=(np.eye(4),), labels=b"a")
+    with pytest.raises(BadParameterError):
+        KrausChannel(operators=(np.eye(4),), labels=5)
+    three = [matrix_to_json(np.eye(4) / np.sqrt(3.0))] * 3
+    with pytest.raises(BadParameterError):
+        channel_from_json({"operators": three, "labels": "abc"})
 
 
 def test_channel_operators_are_read_only():

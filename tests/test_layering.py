@@ -51,3 +51,39 @@ def test_modules_import_only_from_lower_ranks():
         if RANKS[name] >= RANKS[path.stem]
     ]
     assert upward == []
+
+
+#: numpy's Hermitian eigensolvers, which only ``linalg.check_states`` may call
+EIGENSOLVERS = {"eigh", "eigvalsh"}
+
+
+def _eigensolver_owners(path: Path) -> set[str]:
+    """``module.function`` for each function of a file that names an eigensolver.
+
+    A name counts as an attribute (``np.linalg.eigh``) or as an imported
+    name (``from numpy.linalg import eigh``); module-level uses count as
+    ``module.<module>``.
+    """
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        else:
+            names = set()
+        if names & EIGENSOLVERS:
+            found.add(f"{path.stem}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_check_states_calls_the_eigensolvers():
+    owners = set().union(*(_eigensolver_owners(path) for path in PACKAGE.glob("*.py")))
+    assert owners == {"linalg.check_states"}

@@ -7,6 +7,7 @@ from pumplimit import (
     DimensionMismatchError,
     InvalidDensityMatrixError,
     InvalidSpectrumError,
+    NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     generator_from_seed,
@@ -14,9 +15,10 @@ from pumplimit import (
     random_haar_unitary,
     sqrt_psd,
     tensor,
+    validate_density_matrix,
     validate_spectrum,
 )
-from pumplimit.linalg import check_states
+from pumplimit.linalg import as_matrix, check_states
 from oracles import SIGMA_Y, eig2_hermitian, kron_expand, random_hermitian
 
 
@@ -54,6 +56,26 @@ def test_nan_breaks_the_hermiticity_rule():
 def test_hermitian_eig_rejects_unsupported_dim():
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.eye(3))
+
+
+def test_shape_checks_reject_mismatches():
+    with pytest.raises(DimensionMismatchError):
+        as_matrix(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        validate_density_matrix(np.eye(2) / 2.0, dim=4)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eigensolver_failure_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        validate_density_matrix(np.eye(4) / 4.0)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        hermitian_eig(np.eye(4) / 4.0)
 
 
 def test_hermitian_eig_reconstruction():

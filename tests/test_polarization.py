@@ -95,6 +95,10 @@ def test_canonical_pump_rejects_out_of_range():
         canonical_pump(1.2)
     with pytest.raises(BadParameterError):
         canonical_pump(-0.1)
+    with pytest.raises(BadParameterError):
+        canonical_pump(None)
+    with pytest.raises(BadParameterError):
+        canonical_pump("x")
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,8 @@ def random_params(rng):
 
 
 @pytest.mark.parametrize("field,value", [("t", 1.5), ("t", -0.1), ("mu", 2.0),
-                                         ("pump_p", -0.5), ("theta1", math.nan)])
+                                         ("pump_p", -0.5), ("theta1", math.nan),
+                                         ("t", None), ("theta1", "x")])
 def test_params_validation(field, value):
     with pytest.raises(BadParameterError):
         params_with(**{field: value})

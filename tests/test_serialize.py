@@ -37,9 +37,11 @@ def test_matrix_file_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "obj",
     [
-        {"re": [[1.0]], "im": [[0.0]]},                             # missing dim
-        {"dim": 3, "re": [[0.0] * 3] * 3, "im": [[0.0] * 3] * 3},   # unsupported dim
-        {"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]},         # ragged shape
+        {"re": [[1.0]], "im": [[0.0]]},                               # missing dim
+        {"dim": 3, "re": [[0.0] * 3] * 3, "im": [[0.0] * 3] * 3},     # unsupported dim
+        {"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]},           # ragged shape
+        {"dim": 4.7, "re": [[0.0] * 4] * 4, "im": [[0.0] * 4] * 4},   # non-integer dim
+        {"dim": "4", "re": [[0.0] * 4] * 4, "im": [[0.0] * 4] * 4},   # dim as a string
         "not an object",
     ],
 )
@@ -63,6 +65,8 @@ def test_channel_round_trip():
 def test_channel_from_json_rejects_empty():
     with pytest.raises(BadParameterError):
         channel_from_json({"operators": []})
+    with pytest.raises(BadParameterError):
+        channel_from_json({})
 
 
 def test_params_round_trip():
@@ -84,3 +88,13 @@ def test_params_from_json_rejects_bad_keys():
     extra["phi"] = 1.0
     with pytest.raises(BadParameterError):
         params_from_json(extra)
+    with pytest.raises(BadParameterError):
+        params_from_json([])
+
+
+def test_params_from_json_rejects_non_numeric_value():
+    obj = params_to_json(SchemeParams(t=0.5, theta1=0.0, theta2=0.0, alpha1=0.0,
+                                      alpha2=0.0, mu=1.0, gamma0=0.0, pump_p=0.5))
+    obj["mu"] = "high"
+    with pytest.raises(BadParameterError, match="mu must be a number, got 'high'"):
+        params_from_json(obj)

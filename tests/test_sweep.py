@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -173,14 +172,15 @@ def _traced_peak(func) -> int:
 
 def test_batch_memory_budget():
     task = (SweepConfig(n_samples=_BATCH, seed=3), 0, _BATCH)
-    _csv_task(task)  # one-time set-up is not part of a batch's working set
-    assert _traced_peak(lambda: _csv_task(task)) <= 8 * 2**20
+    _csv_task(*task)  # one-time set-up is not part of a batch's working set
+    assert _traced_peak(lambda: _csv_task(*task)) <= 8 * 2**20
 
 
 def test_task_stream_is_made_as_it_is_consumed():
     cfg = SweepConfig(n_samples=10**9, seed=3)
     last = collections.deque(maxlen=1)
-    assert _traced_peak(lambda: last.extend(_ordered_map(itemgetter(2), _batches(cfg), 1))) < 2**20
+    stops = _ordered_map(lambda cfg, start, stop: stop, _batches(cfg), 1)
+    assert _traced_peak(lambda: last.extend(stops)) < 2**20
     assert list(last) == [10**9]
 
 
@@ -484,6 +484,14 @@ def test_sweep_records_sequence():
     first = records[0]
     first.spectrum[0] = -1.0  # every access hands out its own spectrum
     assert records[0].spectrum[0] != -1.0
+
+
+@pytest.mark.parametrize("read", [verify_csv, load_csv])
+def test_csv_with_wrong_header_is_refused(tmp_path, read):
+    path = tmp_path / "wrong.csv"
+    path.write_text(CSV_HEADER.replace("pump_p", "pump_q") + "\n")
+    with pytest.raises(BadConfigError, match="unexpected CSV header"):
+        read(path)
 
 
 @pytest.mark.parametrize("body", ["", "\n"])

@@ -189,6 +189,11 @@ def test_two_d_decompose_rejects_full_rank():
         two_d_decompose(werner(0.5))
 
 
+def test_two_d_decompose_rejects_empty_support():
+    with pytest.raises(NotTwoDError, match="all diagonal entries below tolerance"):
+        two_d_decompose(np.eye(4) / 4.0, tol=0.5)
+
+
 def test_two_d_decompose_rejects_off_support_mass():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
