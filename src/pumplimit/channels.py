@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameterError, DimensionMismatchError
+from .errors import BadParameterError, DimensionMismatchError, InvalidDensityMatrixError
 from .linalg import (
     _is_int,
     as_matrix,
+    check_states,
     dagger,
     generator_from_seed,
     haar_unitary,
@@ -102,10 +103,15 @@ def is_majorized_by(target, source, tol: float = MAJORIZATION_TOL) -> Majorizati
     """Check that the target spectrum is majorized by the source spectrum.
 
     Every leading partial sum of the target eigenvalues (non-ascending) must
-    stay below the source's within ``tol``, and the totals must agree.
+    stay below the source's within ``tol``, and the totals must agree.  Both
+    states pass the density-matrix rules as one stack; a state that breaks
+    them raises InvalidDensityMatrixError prefixed "target" or "source".
     """
-    lam = validate_density_matrix(target, dim=4)
-    eps = validate_density_matrix(source, dim=4)
+    pair = np.stack([as_matrix(target, dims=(4,)), as_matrix(source, dims=(4,))])
+    try:
+        lam, eps = check_states(pair)[:, ::-1]
+    except InvalidDensityMatrixError as exc:
+        raise type(exc)(f"{('target', 'source')[exc.index]}: {exc}") from None
     cum_t = np.cumsum(lam)
     cum_s = np.cumsum(eps)
     worst = float(np.min(cum_s[:3] - cum_t[:3]))

@@ -99,9 +99,14 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _is_bool(value) -> bool:
+    """Whether ``value`` is a Python or numpy bool."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not _is_bool(value)
 
 
 def _check_seed(seed, error=BadParameterError) -> int:

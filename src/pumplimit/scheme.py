@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError, InvalidDensityMatrixError
-from .linalg import as_matrix, check_states, dagger
+from .linalg import _is_bool, as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
 
 __all__ = [
@@ -54,7 +54,8 @@ class SchemeParams:
 
     Angles are radians; ``t`` (beam-splitter ratio), ``mu`` (degree of
     coherence between the arms) and ``pump_p`` (pump degree of polarization)
-    live in [0, 1].
+    live in [0, 1].  Each setting is stored as the float of what was given;
+    a bool is refused.
     """
 
     t: float
@@ -70,6 +71,8 @@ class SchemeParams:
         for name in PARAM_FIELDS:
             value = getattr(self, name)
             try:
+                if _is_bool(value):  # float() would read True as 1.0
+                    raise TypeError
                 value = float(value)
             except (TypeError, ValueError):
                 raise BadParameterError(f"{name} must be a number, got {value!r}") from None

@@ -29,7 +29,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Matrix from its JSON dict; checks shape consistency."""
+    """Matrix from its JSON dict; checks shape consistency and that every entry is a number."""
     if not isinstance(obj, dict):
         raise BadParameterError(f"expected a matrix object, got {type(obj).__name__}")
     try:
@@ -44,6 +44,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise BadParameterError(
             f"matrix parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
+    for part in ("re", "im"):
+        for entry in (x for row in obj[part] for x in row):
+            if not (_is_int(entry) or isinstance(entry, (float, np.floating))):
+                raise BadParameterError(f"{part!r} entries must be numbers, got {entry!r}")
     return re + 1j * im
 
 

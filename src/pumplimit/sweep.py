@@ -27,9 +27,13 @@ array whose columns are the CSV fields after ``sample_id``, in file order.
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by the same two arrays: each :class:`SweepRecord` is built
 when it is accessed, and :func:`verify_bounds` audits the values without
-building any.  The audit recomputes both bounds from ``pump_p`` and trusts
-no stored bound column; a NaN slack counts as a violation.  A CSV is read
-only if its ``sample_id``s are nonnegative integers that strictly increase
+building any.  The records are held once: both functions allocate one
+``(ids, values)`` store up front and copy each checked batch into it, the
+sweep sizing it by ``n_samples`` and the reader by a first pass over the
+file that counts its lines, so :func:`load_csv` reads the file twice.  The
+audit recomputes both bounds from ``pump_p`` and trusts no stored bound
+column; a NaN slack counts as a violation.  A CSV is read only if its
+``sample_id``s are nonnegative integers below 2**53 that strictly increase
 down the file and its stored spectra, as one stack, pass
 :func:`~pumplimit.linalg.validate_spectrum`.
 """
@@ -170,19 +174,15 @@ class SweepRecords(Sequence):
     slicing returns another SweepRecords over views of the same arrays.
     """
 
-    def __init__(self, batches: list[tuple]):
-        batches = batches or [(np.empty(0, np.int64), np.empty((0, len(_VALUE_FIELDS))))]
-        if len(batches) == 1:  # a slice, a one-batch sweep or no rows: keep the arrays
-            self._ids, self._values = batches[0]
-        else:
-            self._ids, self._values = (np.concatenate(part) for part in zip(*batches))
+    def __init__(self, records: tuple[np.ndarray, np.ndarray]):
+        self._ids, self._values = records
 
     def __len__(self) -> int:
         return self._ids.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SweepRecords([(self._ids[index], self._values[index])])
+            return SweepRecords((self._ids[index], self._values[index]))
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"record index {index} out of range for {len(self)} records")
@@ -475,22 +475,41 @@ def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
         raise InvalidSpectrumError(f"sample_id={ids[exc.index]}: {exc}") from None
 
 
-def _records_from_batch(ids: np.ndarray, values: np.ndarray, out: list) -> None:
-    """Check a batch's settings and spectra once, then keep it for SweepRecords."""
+def _records_from_batch(ids: np.ndarray, values: np.ndarray, store: tuple, at: int) -> int:
+    """Check a batch's settings and spectra once, then copy it into ``store`` from row ``at``.
+
+    Returns the row after the batch's last.
+    """
     _check_batch(ids, values)
-    out.append((ids, values))
+    stop = at + len(ids)
+    store[0][at:stop] = ids
+    store[1][at:stop] = values
+    return stop
+
+
+def _held(batches: Iterable[tuple], capacity: int, source) -> SweepRecords:
+    """The records of ``batches``, each checked and copied into one store of ``capacity`` rows.
+
+    Rows the batches leave unfilled stay an unused tail behind the records'
+    views.  A batch that would run past the store raises BadConfigError
+    naming ``source``, before any of it is written.
+    """
+    store = np.empty(capacity, np.int64), np.empty((capacity, len(_VALUE_FIELDS)))
+    filled = 0
+    for ids, values in batches:
+        if filled + len(ids) > capacity:
+            raise BadConfigError(f"{source}: more rows than the {capacity} counted (changed while read)")
+        filled = _records_from_batch(ids, values, store, filled)
+    return SweepRecords((store[0][:filled], store[1][:filled]))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepRecords:
     """All sample records, in sample-id order.
 
-    Holds every sample's values in memory; for very large sweeps prefer
-    :func:`sweep_to_csv`, which streams.
+    Holds every sample's values in memory, once; for very large sweeps
+    prefer :func:`sweep_to_csv`, which streams.
     """
-    batches: list[tuple] = []
-    for ids, values in _ordered_map(_evaluate, _batches(cfg), cfg.workers):
-        _records_from_batch(ids, values, batches)
-    return SweepRecords(batches)
+    return _held(_ordered_map(_evaluate, _batches(cfg), cfg.workers), cfg.n_samples, "sweep")
 
 
 def sweep_to_csv(cfg: SweepConfig, path) -> BoundReport:
@@ -623,19 +642,24 @@ def _table(rows: list):
 def _sample_ids(column: np.ndarray, lines: Sequence[int], path, last: float) -> np.ndarray:
     """The parsed sample_id column as int64, checked against the file order.
 
-    Every id must be a nonnegative integer above the id before it, ``last``
-    for the first row of a batch (-1 at the top of the file); the first
-    row that breaks the rule raises BadConfigError naming its file line.
+    Every id must be a nonnegative integer below 2**53, where a double
+    holds every integer exactly and so parses each id to itself, and above
+    the id before it, ``last`` for the first row of a batch (-1 at the top
+    of the file); the first row that breaks a rule raises BadConfigError
+    naming its file line.
     """
     before = np.concatenate(([last], column[:-1]))
     whole = (column >= 0.0) & (column < 2.0**63) & (np.floor(column) == column)
-    ok = whole & (column > before)
+    exact = column < 2.0**53
+    ok = whole & exact & (column > before)
     if not ok.all():
         i = int(np.argmin(ok))
-        if whole[i]:
-            problem = f"sample_id {int(column[i])} after {int(before[i])}: ids must strictly increase"
-        else:
+        if not whole[i]:
             problem = f"sample_id {float(column[i])!r} is not a nonnegative integer"
+        elif not exact[i]:
+            problem = "sample_id is 2**53 or more and cannot be read exactly"
+        else:
+            problem = f"sample_id {int(column[i])} after {int(before[i])}: ids must strictly increase"
         raise BadConfigError(f"{path}, line {lines[i]}: {problem}")
     return column.astype(np.int64)
 
@@ -654,12 +678,29 @@ def verify_csv(path) -> BoundReport:
     return report
 
 
+def _line_breaks(path) -> int:
+    """The file's ``\\n`` and ``\\r`` bytes, counted 1 MiB at a time.
+
+    Text-mode reading ends a line at ``\\n``, ``\\r`` or ``\\r\\n``, so the
+    file holds at most one line more than this count; one of its lines is
+    the header, so the count is at least the number of rows.
+    """
+    count = 0
+    with open(path, "rb") as handle:
+        while chunk := handle.read(2**20):
+            text = np.frombuffer(chunk, dtype=np.uint8)
+            count += np.count_nonzero(text == ord("\n")) + np.count_nonzero(text == ord("\r"))
+    return int(count)
+
+
 def load_csv(path) -> SweepRecords:
-    """Read a sweep CSV back into records (see :class:`SweepRecords`)."""
-    batches: list[tuple] = []
-    for ids, values in _columns_from_csv(path):
-        _records_from_batch(ids, values, batches)
-    return SweepRecords(batches)
+    """Read a sweep CSV back into records (see :class:`SweepRecords`).
+
+    The file is read twice: once to count its lines, which sizes the one
+    store that holds the records, and once to parse it.  A file that grows
+    between the two raises BadConfigError.
+    """
+    return _held(_columns_from_csv(path), _line_breaks(path), path)
 
 
 def saturating_config(pump_p: float) -> tuple[SchemeParams, float]:

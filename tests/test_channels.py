@@ -18,6 +18,7 @@ from pumplimit import (
     random_mixed_unitary_channel,
     validate_doubly_stochastic,
 )
+from pumplimit.errors import NotHermitianError, NotPSDError
 from oracles import SIGMA_X, kron_expand, random_density
 
 
@@ -88,6 +89,18 @@ def test_maximally_mixed_is_majorized_by_everything():
     for _ in range(50):
         source = random_density(rng, 4)
         assert is_majorized_by(np.eye(4) / 4.0, source).holds
+
+
+def test_majorization_names_the_state_that_breaks_the_rules():
+    good = np.eye(4) / 4.0
+    with pytest.raises(InvalidDensityMatrixError, match="^source: trace 2 is not 1"):
+        is_majorized_by(good, 2.0 * good)
+    with pytest.raises(NotHermitianError, match="^target: not Hermitian"):
+        is_majorized_by(good + np.triu(np.ones((4, 4)), 1), good)
+    with pytest.raises(NotPSDError, match="^source: negative eigenvalue"):
+        is_majorized_by(good, np.diag([0.6, 0.6, 0.0, -0.2]))
+    with pytest.raises(DimensionMismatchError):
+        is_majorized_by(good, np.eye(2) / 2.0)
 
 
 def test_majorization_detects_violation():

@@ -44,7 +44,8 @@ def random_params(rng):
 
 @pytest.mark.parametrize("field,value", [("t", 1.5), ("t", -0.1), ("mu", 2.0),
                                          ("pump_p", -0.5), ("theta1", math.nan),
-                                         ("t", None), ("theta1", "x")])
+                                         ("t", None), ("theta1", "x"), ("t", True),
+                                         ("mu", np.True_), ("theta2", False)])
 def test_params_validation(field, value):
     with pytest.raises(BadParameterError):
         params_with(**{field: value})

@@ -43,6 +43,9 @@ def test_matrix_file_round_trip(tmp_path):
         {"dim": 4.7, "re": [[0.0] * 4] * 4, "im": [[0.0] * 4] * 4},   # non-integer dim
         {"dim": "4", "re": [[0.0] * 4] * 4, "im": [[0.0] * 4] * 4},   # dim as a string
         "not an object",
+        {"dim": 2, "re": [["0.5", "0"], [True, "0.5"]], "im": [[0, 0], [0, 0]]},  # strings, bool
+        {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, False], [0, 0]]},      # a bool
+        {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, None], [0, 0]]},       # null
     ],
 )
 def test_matrix_from_json_rejects(obj):
@@ -90,6 +93,14 @@ def test_params_from_json_rejects_bad_keys():
         params_from_json(extra)
     with pytest.raises(BadParameterError):
         params_from_json([])
+
+
+def test_params_from_json_refuses_bools_and_reads_numeric_strings():
+    obj = params_to_json(SchemeParams(t=0.5, theta1=0.0, theta2=0.0, alpha1=0.0,
+                                      alpha2=0.0, mu=1.0, gamma0=0.0, pump_p=0.5))
+    with pytest.raises(BadParameterError, match="t must be a number, got True"):
+        params_from_json(dict(obj, t=True))
+    assert params_from_json(dict(obj, theta1="0.5", t=1)).theta1 == 0.5
 
 
 def test_params_from_json_rejects_non_numeric_value():

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -174,6 +175,28 @@ def test_batch_memory_budget():
     task = (SweepConfig(n_samples=_BATCH, seed=3), 0, _BATCH)
     _csv_task(*task)  # one-time set-up is not part of a batch's working set
     assert _traced_peak(lambda: _csv_task(*task)) <= 8 * 2**20
+
+
+def _records_nbytes(records) -> int:
+    return records._ids.nbytes + records._values.nbytes
+
+
+def test_load_csv_holds_records_once(tmp_path):
+    path = tmp_path / "rows.csv"
+    sweep_to_csv(SweepConfig(n_samples=24 * _BATCH, seed=3), path)
+    load_csv(path)  # one-time set-up is not part of the load
+    held = []
+    peak = _traced_peak(lambda: held.append(load_csv(path)))
+    assert len(held[0]) == 24 * _BATCH
+    assert peak - _records_nbytes(held[0]) <= 3 * 2**20
+
+
+def test_run_sweep_holds_records_once():
+    run_sweep(SweepConfig(n_samples=10, seed=3))
+    held = []
+    peak = _traced_peak(lambda: held.append(run_sweep(SweepConfig(n_samples=10**5, seed=3))))
+    assert len(held[0]) == 10**5
+    assert peak - _records_nbytes(held[0]) <= 4 * 2**20
 
 
 def test_task_stream_is_made_as_it_is_consumed():
@@ -507,6 +530,36 @@ def test_header_only_csv_loads_empty(tmp_path, body):
     assert verify_csv(path).n_records == 0
 
 
+def test_header_without_newline_loads_empty(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text(CSV_HEADER)
+    assert len(load_csv(path)) == 0
+    assert verify_csv(path).n_records == 0
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_blank_and_comment_lines_leave_exactly_the_rows(tmp_path, newline):
+    cfg = SweepConfig(n_samples=5, seed=9)
+    full = tmp_path / "full.csv"
+    sweep_to_csv(cfg, full)
+    header, *rows = full.read_text().splitlines()
+    mixed = tmp_path / "mixed.csv"
+    lines = [header, "", "# a note", rows[0], "  ", "#", *rows[1:4], "", rows[4]]
+    mixed.write_bytes(newline.join(lines).encode("ascii"))  # no newline after the last row
+    records = load_csv(mixed)
+    _assert_same_records(records, run_sweep(cfg))
+    assert [r.sample_id for r in records] == list(range(5))
+
+
+def test_rows_beyond_the_counted_lines_are_refused(two_batch_csv, monkeypatch):
+    path = two_batch_csv[0]
+    monkeypatch.setattr(pumplimit.sweep, "_line_breaks", lambda path: _BATCH + 36)
+    with pytest.raises(BadConfigError, match=f"^{re.escape(str(path))}: more rows than the {_BATCH + 36}"):
+        load_csv(path)
+    monkeypatch.setattr(pumplimit.sweep, "_line_breaks", lambda path: _BATCH + 37)
+    assert len(load_csv(path)) == _BATCH + 37
+
+
 def test_verify_bounds_columns_match_records(two_batch_csv):
     path, report = two_batch_csv
     records = load_csv(path)
@@ -602,6 +655,7 @@ def test_rows_all_short_or_unparsable_are_rejected(tmp_path):
 
 
 _TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its sample_id
+_INEXACT = "sample_id is 2**53 or more and cannot be read exactly"
 
 
 @pytest.mark.parametrize(
@@ -614,6 +668,8 @@ _TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its samp
         (["-1"], "line 2: sample_id -1.0 is not a nonnegative integer"),
         (["nan"], "line 2: sample_id nan is not a nonnegative integer"),
         (["1e30"], "line 2: sample_id 1e+30 is not a nonnegative integer"),
+        (["0", "9007199254740993"], f"line 3: {_INEXACT}"),
+        (["9007199254740992", "9007199254740993"], f"line 2: {_INEXACT}"),
     ],
 )
 def test_bad_sample_ids_are_rejected(tmp_path, ids, problem):
@@ -623,6 +679,13 @@ def test_bad_sample_ids_are_rejected(tmp_path, ids, problem):
         with pytest.raises(BadConfigError) as info:
             read(path)
         assert str(info.value) == f"{path}, {problem}"
+
+
+def test_sample_ids_below_two_to_the_53_load_exactly(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(CSV_HEADER + "\n" + f"0,{_TAIL}\n9007199254740991,{_TAIL}\n")
+    assert [r.sample_id for r in load_csv(path)] == [0, 2**53 - 1]
+    assert verify_csv(path).n_records == 2
 
 
 def test_repeated_sample_id_across_batches_is_rejected(two_batch_csv, tmp_path):
