@@ -34,20 +34,26 @@ class KrausChannel:
 
     Validity (trace preservation, unitality) is checked by
     :func:`validate_doubly_stochastic`, never assumed.  Operators are stored
-    once, as the read-only rows of ``stack``.
+    once, as the read-only rows of ``stack``, beside their read-only
+    conjugate transposes in ``adjoint``.
     """
 
     operators: tuple
     labels: tuple | None = None
     #: the operators stacked into one (k, 4, 4) array, for batched products
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``stack`` with every operator conjugate-transposed
+    adjoint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) == 0:
             raise BadParameterError("channel needs at least one Kraus operator")
         stack = np.stack([as_matrix(op, dims=(4,)) for op in self.operators])
+        adjoint = dagger(stack)
         stack.setflags(write=False)
+        adjoint.setflags(write=False)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "adjoint", adjoint)
         object.__setattr__(self, "operators", tuple(stack))
         if self.labels is not None:
             if not isinstance(self.labels, (list, tuple)):
@@ -70,9 +76,8 @@ def validate_doubly_stochastic(ch: KrausChannel):
     within :data:`CHANNEL_TOL` in max norm.
     """
     eye = np.eye(4)
-    adj = dagger(ch.stack)
-    tp_defect = np.abs(np.sum(adj @ ch.stack, axis=0) - eye).max()
-    un_defect = np.abs(np.sum(ch.stack @ adj, axis=0) - eye).max()
+    tp_defect = np.abs(np.sum(ch.adjoint @ ch.stack, axis=0) - eye).max()
+    un_defect = np.abs(np.sum(ch.stack @ ch.adjoint, axis=0) - eye).max()
     return bool(tp_defect <= CHANNEL_TOL), bool(un_defect <= CHANNEL_TOL)
 
 
@@ -80,8 +85,10 @@ def apply_channel(ch: KrausChannel, state) -> np.ndarray:
     """Apply ``sum_i M_i rho M_i^dag`` to a 4x4 density matrix."""
     a = as_matrix(state, dims=(4,))
     validate_density_matrix(a, dim=4)
-    out = np.sum(ch.stack @ a @ dagger(ch.stack), axis=0)
-    return (out + dagger(out)) / 2.0
+    out = (ch.stack @ a @ ch.adjoint).sum(axis=0)
+    out += dagger(out)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,15 +114,15 @@ def is_majorized_by(target, source, tol: float = MAJORIZATION_TOL) -> Majorizati
     states pass the density-matrix rules as one stack; a state that breaks
     them raises InvalidDensityMatrixError prefixed "target" or "source".
     """
-    pair = np.stack([as_matrix(target, dims=(4,)), as_matrix(source, dims=(4,))])
+    pair = np.array([as_matrix(target, dims=(4,)), as_matrix(source, dims=(4,))])
     try:
-        lam, eps = check_states(pair)[:, ::-1]
+        spectra = check_states(pair)
     except InvalidDensityMatrixError as exc:
         raise type(exc)(f"{('target', 'source')[exc.index]}: {exc}") from None
-    cum_t = np.cumsum(lam)
-    cum_s = np.cumsum(eps)
-    worst = float(np.min(cum_s[:3] - cum_t[:3]))
-    holds = worst >= -tol and abs(float(cum_s[3] - cum_t[3])) <= tol
+    cum_t, cum_s = spectra[:, ::-1].cumsum(axis=1)
+    slack = cum_s - cum_t
+    worst = float(slack[:3].min())
+    holds = worst >= -tol and abs(float(slack[3])) <= tol
     return MajorizationReport(
         holds=bool(holds),
         partial_sums_source=cum_s,

@@ -49,7 +49,7 @@ _DEGENERATE_P = 1e-15
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; stack-aware (swaps the last two axes)."""
-    return np.conj(np.swapaxes(a, -1, -2))
+    return a.swapaxes(-1, -2).conj()
 
 
 def as_matrix(m, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
@@ -207,19 +207,26 @@ def check_states(
         _reject(NotHermitianError, defect <= herm_tol, defect, message)
     if trace_tol < math.inf:
         tr = a.trace(axis1=-2, axis2=-1)
-        if not np.abs(tr - 1.0).max() <= trace_tol:
+        ok = np.abs(tr - 1.0) <= trace_tol
+        if not _all(ok):
             message = f"trace {{:.12g}} is not 1 within {trace_tol:.1e}"
-            _reject(InvalidDensityMatrixError, np.abs(tr - 1.0) <= trace_tol, tr.real, message)
+            _reject(InvalidDensityMatrixError, ok, tr.real, message)
     h = a + adj
-    h /= 2.0
+    h *= 0.5
     try:
         eig = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     low = (eig[0] if vectors else eig)[..., 0]
-    if not low.min() >= -eig_floor:
-        _reject(NotPSDError, low >= -eig_floor, low, "negative eigenvalue {:.3e}")
+    ok = low >= -eig_floor
+    if not _all(ok):
+        _reject(NotPSDError, ok, low, "negative eigenvalue {:.3e}")
     return eig
+
+
+def _all(ok) -> bool:
+    """Whether every entry of ``ok`` holds; a single state's 0-d result is read without a reduction."""
+    return bool(ok.all() if ok.ndim else ok)
 
 
 def _reject(error, ok, values, message: str):

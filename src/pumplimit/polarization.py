@@ -38,7 +38,7 @@ def canonical_pump(p: float) -> np.ndarray:
         p = float(p)
     except (TypeError, ValueError):
         raise BadParameterError(f"degree of polarization must be a number, got {p!r}") from None
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
+    if not 0.0 <= p <= 1.0:
         raise BadParameterError(f"degree of polarization must be in [0, 1], got {p!r}")
     return np.array([[0.5, p / 2.0], [p / 2.0, 0.5]], dtype=complex)
 
@@ -103,7 +103,8 @@ def embed_pump(j) -> EmbeddedPump:
     two zeros, so no 4x4 decomposition is needed.
     """
     a = as_matrix(j, dims=(2,))
-    w = validate_polarization_matrix(a)
+    spectrum = np.zeros(4)
+    spectrum[:2] = check_states(a, herm_tol=J_HERMITIAN_TOL, trace_tol=J_TRACE_TOL)[::-1]
     sigma = np.zeros((4, 4), dtype=complex)
     sigma[:2, :2] = a
-    return EmbeddedPump(sigma=sigma, spectrum=np.concatenate([w, (0.0, 0.0)]))
+    return EmbeddedPump(sigma=sigma, spectrum=spectrum)

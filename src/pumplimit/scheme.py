@@ -24,6 +24,7 @@ raises and never repairs; the sweep hands ``G`` itself to the Wootters kernel.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,12 @@ PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pu
 #: trace budget of assembled states, tighter than for states from outside
 BUILT_TRACE_TOL = 1e-12
 _UNIT_INTERVAL = ("t", "mu", "pump_p")
+# the oracle's arm maps stacked (arm-1 H, V, arm-2 H, V) give the fields that
+# pairs in (HH, HV, VH, VV) are born from: E_V1, E_V2, E_H2, E_H1
+_BORN_FROM = np.array([1, 3, 2, 0])
+# the factor each second moment of those fields picks up from the arm-2 phase:
+# 1 within an arm, mu e^{-i gamma_0} from arm 1 to arm 2, mu e^{+i gamma_0} back
+_CROSS_ARM = np.array([[0, 1, 1, 0], [2, 0, 0, 2], [2, 0, 0, 2], [0, 1, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,9 @@ class SchemeParams:
     pump_p: float
 
     def __post_init__(self):
+        fields = vars(self)  # written directly: the dataclass is frozen
         for name in PARAM_FIELDS:
-            value = getattr(self, name)
+            value = fields[name]
             try:
                 if _is_bool(value):  # float() would read True as 1.0
                     raise TypeError
@@ -78,11 +86,16 @@ class SchemeParams:
                 raise BadParameterError(f"{name} must be a number, got {value!r}") from None
             if not math.isfinite(value):
                 raise BadParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in _UNIT_INTERVAL:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if name in _UNIT_INTERVAL and not 0.0 <= value <= 1.0:
                 raise BadParameterError(f"{name} must be in [0, 1], got {value}")
+            fields[name] = value
+
+    @classmethod
+    def _from_checked(cls, settings: dict) -> SchemeParams:
+        """Settings, all floats, that have already passed the checks above, set without re-running them."""
+        params = object.__new__(cls)
+        vars(params).update(settings)
+        return params
 
 
 def transform_fields(params: SchemeParams, arm: int) -> np.ndarray:
@@ -102,12 +115,9 @@ def transform_fields(params: SchemeParams, arm: int) -> np.ndarray:
         theta, alpha = params.theta2, params.alpha2
     else:
         raise BadParameterError(f"arm must be 1 or 2, got {arm!r}")
-    rotation = np.array(
-        [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]],
-        dtype=complex,
-    )
-    retarder = np.array([[1.0, 0.0], [0.0, np.exp(1j * alpha)]], dtype=complex)
-    return eta * (rotation @ retarder)
+    cos, sin = math.cos(theta), math.sin(theta)
+    phase = cmath.exp(1j * alpha)
+    return eta * np.array([[cos, sin * phase], [-sin, cos * phase]])
 
 
 def _arm_rows(eta, theta, alpha, pp, rest_p):
@@ -122,7 +132,9 @@ def _arm_rows(eta, theta, alpha, pp, rest_p):
 def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.ndarray:
     """Factor ``G`` of the pair states, ``rho = G G^dag``, from broadcastable parameters.
 
-    Returns a complex array of shape ``broadcast_shape + (4, 4)``.  The
+    The parameters are floats or float arrays.  Returns a complex array of
+    shape ``broadcast_shape + (4, 4)``; a setting given as floats gets
+    exactly its row of the same setting given in arrays.  The
     source state is ``L (Gamma x J) L^dag``, where the columns index the
     random vector ``(1, e^{i gamma}) x (E_H, E_V)`` of second moments
     ``Gamma x J`` and ``L`` places the arm maps of :func:`transform_fields`
@@ -135,22 +147,23 @@ def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.
     by ``mu e^{i gamma_0}`` in columns 0-1 and by ``sqrt(1 - mu^2)`` in
     columns 2-3.
     """
-    pp = np.asarray(pump_p, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    m = np.asarray(mu, dtype=float)
-    rest_p = np.sqrt((1.0 - pp) * (1.0 + pp))
-    h1, v1 = _arm_rows(np.sqrt(tt / 2.0), theta1, alpha1, pp, rest_p)
-    h2, v2 = _arm_rows(np.sqrt((1.0 - tt) / 2.0), theta2, alpha2, pp, rest_p)
-    coh = m * np.exp(1j * np.asarray(gamma0, dtype=float))
-    rest_mu = np.sqrt((1.0 - m) * (1.0 + m))
+    rest_p = np.sqrt((1.0 - pump_p) * (1.0 + pump_p))
+    h1, v1 = _arm_rows(np.sqrt(t / 2.0), theta1, alpha1, pump_p, rest_p)
+    h2, v2 = _arm_rows(np.sqrt((1.0 - t) / 2.0), theta2, alpha2, pump_p, rest_p)
+    coh = mu * np.exp(1j * gamma0)
+    rest_mu = np.sqrt((1.0 - mu) * (1.0 + mu))
 
-    shape = np.broadcast(pp, tt, theta1, theta2, alpha1, alpha2, m, gamma0).shape
+    shape = np.broadcast(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0).shape
     g = np.zeros(shape + (4, 4), dtype=complex)
     for col in range(2):
         g[..., 0, col] = v1[col]
         g[..., 3, col] = h1[col]
-        g[..., 1, col] = coh * v2[col]
-        g[..., 2, col] = coh * h2[col]
+        # products of two complex numbers go through the ufunc even on
+        # scalars: numpy's scalar arithmetic rounds them differently from the
+        # array loop (which may fuse multiply-adds), and a lone setting's G
+        # must be its stack row bit for bit
+        g[..., 1, col] = np.multiply(coh, v2[col])
+        g[..., 2, col] = np.multiply(coh, h2[col])
         g[..., 1, col + 2] = rest_mu * v2[col]
         g[..., 2, col + 2] = rest_mu * h2[col]
     return g
@@ -184,10 +197,11 @@ def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
     """Pair state derived from the arm transformations, for cross-checking.
 
     Every second moment ``<E_{a,i} E_{b,j}*>`` is read off as an entry of
-    ``C_i J C_j^dag`` where ``C_i`` is the arm transformation and ``J`` the
-    pump coherency matrix; cross-arm moments pick up the coherence factor
-    ``mu e^{+-i gamma_0}``.  Never touches the closed-form factor used by
-    :func:`build_density_matrix`.
+    ``A J A^dag``, where ``A`` stacks the rows of the arm transformations
+    ``C_1`` and ``C_2`` in the order the pair basis draws on them and ``J``
+    is the pump coherency matrix; cross-arm moments pick up the coherence
+    factor ``mu e^{+-i gamma_0}``.  Never touches the closed-form factor
+    used by :func:`build_density_matrix`.
 
     ``pump`` defaults to ``canonical_pump(params.pump_p)``; passing an
     explicit coherency matrix simulates a pump with arbitrary moments.
@@ -197,31 +211,8 @@ def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
     else:
         j = as_matrix(pump, dims=(2,))
         validate_polarization_matrix(j)
-    c1 = transform_fields(params, 1)
-    c2 = transform_fields(params, 2)
-    g11 = c1 @ j @ dagger(c1)
-    g22 = c2 @ j @ dagger(c2)
-    g12 = c1 @ j @ dagger(c2)
-    g21 = dagger(g12)
-    coh = params.mu * np.exp(1j * params.gamma0)
-
-    h, v = 0, 1
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = g11[v, v].real
-    rho[1, 1] = g22[v, v].real
-    rho[2, 2] = g22[h, h].real
-    rho[3, 3] = g11[h, h].real
-    rho[0, 1] = np.conj(coh) * g12[v, v]
-    rho[0, 2] = np.conj(coh) * g12[v, h]
-    rho[0, 3] = g11[v, h]
-    rho[1, 2] = g22[v, h]
-    rho[1, 3] = coh * g21[v, h]
-    rho[2, 3] = coh * g21[h, h]
-    rho[1, 0] = np.conj(rho[0, 1])
-    rho[2, 0] = np.conj(rho[0, 2])
-    rho[3, 0] = np.conj(rho[0, 3])
-    rho[2, 1] = np.conj(rho[1, 2])
-    rho[3, 1] = np.conj(rho[1, 3])
-    rho[3, 2] = np.conj(rho[2, 3])
+    arms = np.concatenate((transform_fields(params, 1), transform_fields(params, 2)))[_BORN_FROM]
+    coh = params.mu * cmath.exp(1j * params.gamma0)
+    rho = (arms @ j @ dagger(arms)) * np.array((1.0, coh.conjugate(), coh))[_CROSS_ARM]
     _validate_built(rho, "build_density_matrix_oracle")
     return rho

@@ -171,26 +171,33 @@ class SweepRecords(Sequence):
     """Sweep records in sample order, held as one ``(ids, values)`` pair.
 
     Indexing (and so iteration) builds each :class:`SweepRecord` on access;
-    slicing returns another SweepRecords over views of the same arrays.
+    slicing returns another SweepRecords over views of the same arrays.  A
+    record's settings pass the SchemeParams checks on access, except in the
+    stores of :func:`run_sweep` and :func:`load_csv`, whose every row
+    passed them as a batch.
     """
 
     def __init__(self, records: tuple[np.ndarray, np.ndarray]):
         self._ids, self._values = records
+        self._checked = False  # set by _held for the rows _check_batch passed
 
     def __len__(self) -> int:
         return self._ids.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SweepRecords((self._ids[index], self._values[index]))
+            part = SweepRecords((self._ids[index], self._values[index]))
+            part._checked = self._checked
+            return part
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"record index {index} out of range for {len(self)} records")
         row = self._values[i]
         conc, general, two_d = row[_C : _C + 3].tolist()
+        settings = dict(zip(COLUMNS, row[: len(COLUMNS)].tolist()))
         return SweepRecord(
             sample_id=int(self._ids[i]),
-            params=SchemeParams(**dict(zip(COLUMNS, row[: len(COLUMNS)].tolist()))),
+            params=SchemeParams._from_checked(settings) if self._checked else SchemeParams(**settings),
             concurrence=conc,
             bound_general=general,
             bound_2d=two_d,
@@ -500,7 +507,9 @@ def _held(batches: Iterable[tuple], capacity: int, source) -> SweepRecords:
         if filled + len(ids) > capacity:
             raise BadConfigError(f"{source}: more rows than the {capacity} counted (changed while read)")
         filled = _records_from_batch(ids, values, store, filled)
-    return SweepRecords((store[0][:filled], store[1][:filled]))
+    records = SweepRecords((store[0][:filled], store[1][:filled]))
+    records._checked = True
+    return records
 
 
 def run_sweep(cfg: SweepConfig) -> SweepRecords:

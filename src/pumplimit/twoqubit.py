@@ -38,8 +38,10 @@ BASIS = ("HH", "HV", "VH", "VV")
 TWO_D_TOL = 1e-10
 
 # sigma_y (x) sigma_y in this basis is the anti-diagonal (-1, 1, 1, -1):
-# multiplied from the left it reverses the rows and signs them by these
-_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+# multiplied from the left it reverses the rows and signs them by this column
+_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+#: eigenvalues at or below this multiple of the largest are a rank-deficient state's rounding noise
+_NOISE_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -55,8 +57,8 @@ def _wootters_stack(g: np.ndarray) -> np.ndarray:
     The singular values of ``G^T (sy x sy) G``, sorted non-ascending along
     the last axis.  Callers pass factors of states already checked.
     """
-    flipped = _FLIP_SIGNS[:, None] * g[..., ::-1, :]
-    return np.linalg.svd(np.swapaxes(g, -1, -2) @ flipped, compute_uv=False)
+    flipped = _FLIP_SIGNS * g[..., ::-1, :]
+    return np.linalg.svd(g.swapaxes(-1, -2) @ flipped, compute_uv=False)
 
 
 def _factor(rhos) -> np.ndarray:
@@ -66,8 +68,8 @@ def _factor(rhos) -> np.ndarray:
     of a rank-deficient state and count as zero.
     """
     w, v = check_states(rhos, dims=(4,), vectors=True)
-    floor = 4.0 * np.finfo(float).eps * w[..., -1:]
-    return v * np.sqrt(np.where(w <= floor, 0.0, w))[..., None, :]
+    w[w <= _NOISE_FLOOR * w[..., -1:]] = 0.0
+    return v * np.sqrt(w)[..., None, :]
 
 
 def wootters_spectrum(rho) -> np.ndarray:
@@ -90,7 +92,8 @@ def concurrence(rho) -> float:
     Zero for separable states, one for Bell states; invariant under local
     unitaries on either photon.
     """
-    return float(_concurrence_from_s(*wootters_spectrum(rho)))
+    s1, s2, s3, s4 = wootters_spectrum(rho).tolist()
+    return max(s1 - s2 - s3 - s4, 0.0)
 
 
 def concurrence_many(rhos) -> np.ndarray:
@@ -134,9 +137,9 @@ def _support_indices(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _off_support_mass(a: np.ndarray, support) -> float:
-    keep = np.zeros(a.shape, dtype=bool)
-    keep[np.ix_(support, support)] = True
-    return float(np.max(np.abs(np.where(keep, 0.0, a))))
+    mass = np.abs(a)
+    mass[np.ix_(support, support)] = 0.0
+    return float(mass.max())
 
 
 def is_two_d(rho, tol: float = TWO_D_TOL) -> bool:

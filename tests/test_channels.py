@@ -194,6 +194,10 @@ def test_channel_construction_rejects_bad_input():
 
 
 def test_channel_operators_are_read_only():
-    ch = KrausChannel(operators=(np.eye(4),))
+    op = np.arange(16.0).reshape(4, 4) * (1.0 + 1.0j)
+    ch = KrausChannel(operators=(op,))
     with pytest.raises(ValueError):
         ch.operators[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        ch.adjoint[0, 0, 1] = 2.0
+    np.testing.assert_array_equal(ch.adjoint[0], op.conj().T)

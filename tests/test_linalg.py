@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,35 @@ def test_check_states_names_first_failing_state():
     w, v = check_states(stack[:2], vectors=True)
     np.testing.assert_allclose(w, np.full((2, 4), 0.25), atol=1e-15)
     assert v.shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_states_on_a_lone_state_names_it_like_a_stack(n):
+    eye = np.eye(n, dtype=complex)
+    off_diagonal = eye / n
+    off_diagonal[0, 1] = 0.1
+    nan_off_diagonal = eye / n
+    nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = np.nan
+    negative = np.diag([1.5, -0.5] + [0.0] * (n - 2))
+    rules = [
+        # (bad state, the rule's error class, message, the tolerance that switches it off)
+        (negative, NotPSDError, "negative eigenvalue -5.000e-01", "eig_floor"),
+        (off_diagonal, NotHermitianError, "not Hermitian: defect 1.000e-01 exceeds 1.0e-10", "herm_tol"),
+        (np.diag([np.nan] + [1.0] * (n - 1)), NotHermitianError, "not Hermitian: defect nan exceeds 1.0e-10", None),
+        (nan_off_diagonal, NotHermitianError, "not Hermitian: defect nan exceeds 1.0e-10", None),
+        (eye, InvalidDensityMatrixError, f"trace {n} is not 1 within 1.0e-10", "trace_tol"),
+    ]
+    for bad, error, message, switch in rules:
+        with pytest.raises(error) as lone:
+            check_states(bad)
+        with pytest.raises(error) as stacked:
+            check_states(np.array([eye / n, bad]))
+        assert type(lone.value) is type(stacked.value) is error
+        assert str(lone.value) == str(stacked.value) == message
+        assert lone.value.index == 0 and stacked.value.index == 1
+        if switch is not None:
+            w = check_states(bad, **{switch: math.inf})
+            assert w.shape == (n,) and np.all(np.isfinite(w))
 
 
 def test_check_states_rejects_bad_shape():

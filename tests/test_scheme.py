@@ -17,7 +17,7 @@ from pumplimit import (
 )
 from pumplimit.errors import NotPSDError
 from pumplimit.scheme import _density_stack, _validate_built
-from pumplimit.sweep import COLUMNS, SweepConfig, _evaluate, saturating_config
+from pumplimit.sweep import COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
 from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
 from oracles import density_elements, random_density, source_concurrence_mp
 
@@ -110,15 +110,29 @@ def test_saturating_setting_reaches_general_bound():
 
 def test_oracle_agrees_with_element_formulas():
     rng = np.random.default_rng(53)
+    uniform = [random_params(rng) for _ in range(2000)]
+    # near the bound: 1-P and 1-mu log-uniform in [1e-12, 1e-3]
+    near = [
+        replace(random_params(rng), pump_p=1.0 - 10.0 ** rng.uniform(-12.0, -3.0),
+                mu=1.0 - 10.0 ** rng.uniform(-12.0, -3.0))
+        for _ in range(500)
+    ]
     worst = 0.0
-    for _ in range(2000):
-        p = random_params(rng)
+    for p in uniform + near:
         factor = build_density_matrix(p)
         oracle = build_density_matrix_oracle(p)
         elements = density_elements(p)
         for a, b in ((factor, oracle), (factor, elements), (oracle, elements)):
             worst = max(worst, np.max(np.abs(a - b)))
     assert worst <= 1e-12
+
+
+def test_scalar_factor_is_the_stack_kernel_row():
+    columns = _draw_columns(SweepConfig(n_samples=2048, seed=11), 0, 2048)
+    stack = _density_stack(*columns.T)
+    for i, row in enumerate(columns):
+        p = SchemeParams(**dict(zip(COLUMNS, row.tolist())))
+        assert _density_stack(**vars(p)).tobytes() == stack[i].tobytes(), i
 
 
 def test_built_states_are_physical():

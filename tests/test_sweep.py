@@ -509,6 +509,35 @@ def test_sweep_records_sequence():
     assert records[0].spectrum[0] != -1.0
 
 
+def test_records_recheck_settings_unless_their_store_was_checked(tmp_path, monkeypatch):
+    cfg = SweepConfig(n_samples=40, seed=12)
+    swept = run_sweep(cfg)
+    sweep_to_csv(cfg, tmp_path / "s.csv")
+    loaded = load_csv(tmp_path / "s.csv")
+    expected = [r.params for r in swept]
+    # arrays a caller brings are checked row by row on access
+    values = swept._values.copy()
+    values[3, COLUMNS.index("mu")] = 1.5
+    own = SweepRecords((swept._ids, values))
+    with pytest.raises(BadParameterError, match="mu must be in"):
+        own[3]
+    with pytest.raises(BadParameterError, match="mu must be in"):
+        own[2:5][1]
+    assert own[2].params == expected[2]
+
+    # the stores of run_sweep and load_csv passed _check_batch: no second check
+    def refuse(self):
+        raise AssertionError("settings checked again")
+
+    monkeypatch.setattr(SchemeParams, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="checked again"):
+        own[2]
+    for records in (swept, loaded):
+        assert [r.params for r in records] == expected
+        assert [r.params for r in records[10:20]] == expected[10:20]
+        assert all(type(value) is float for value in vars(records[0].params).values())
+
+
 @pytest.mark.parametrize("read", [verify_csv, load_csv])
 def test_csv_with_wrong_header_is_refused(tmp_path, read):
     path = tmp_path / "wrong.csv"
