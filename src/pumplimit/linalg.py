@@ -3,9 +3,10 @@
 Matrices are plain numpy arrays of dtype complex128.  Everything here is a
 pure function of its inputs; randomness is always routed through an explicit
 seed or generator.  Helpers marked stack-aware accept arrays of shape
-``(..., n, n)`` and operate on the trailing two axes.  Every eigenvalue in
-the package comes from :func:`check_states`, the one caller of numpy's
-Hermitian eigensolvers.
+``(..., n, n)`` and operate on the trailing two axes.  Every eigenvalue that
+the package solves for comes from :func:`check_states`, the one caller of
+numpy's Hermitian eigensolvers; only the sweep's source spectra are known in
+closed form.
 
 The deterministic generator used throughout the package is numpy's Philox
 (4x64, 10 rounds), keyed directly by the user-supplied seed, so streams are
@@ -206,11 +207,7 @@ def check_states(
         message = f"not Hermitian: defect {{:.3e}} exceeds {herm_tol:.1e}"
         _reject(NotHermitianError, defect <= herm_tol, defect, message)
     if trace_tol < math.inf:
-        tr = a.trace(axis1=-2, axis2=-1)
-        ok = np.abs(tr - 1.0) <= trace_tol
-        if not _all(ok):
-            message = f"trace {{:.12g}} is not 1 within {trace_tol:.1e}"
-            _reject(InvalidDensityMatrixError, ok, tr.real, message)
+        _trace_rule(a.trace(axis1=-2, axis2=-1), trace_tol)
     h = a + adj
     h *= 0.5
     try:
@@ -222,6 +219,18 @@ def check_states(
     if not _all(ok):
         _reject(NotPSDError, ok, low, "negative eigenvalue {:.3e}")
     return eig
+
+
+def _trace_rule(tr, trace_tol: float) -> None:
+    """The trace rule of :func:`check_states` on a stack of traces: each within ``trace_tol`` of one.
+
+    A NaN trace breaks it.  Raises InvalidDensityMatrixError with the
+    ``index`` of the first failing trace.
+    """
+    ok = np.abs(tr - 1.0) <= trace_tol
+    if not _all(ok):
+        message = f"trace {{:.12g}} is not 1 within {trace_tol:.1e}"
+        _reject(InvalidDensityMatrixError, ok, tr.real, message)
 
 
 def _all(ok) -> bool:

@@ -18,8 +18,11 @@ source's closed-form factor ``G`` (the arm maps times Cholesky factors of
 the pump moments <E_H E_H*> = <E_V E_V*> = 1/2, <E_H* E_V> = P/2 and of the
 inter-arm phase moments), while :func:`build_density_matrix_oracle` derives
 every moment from the arm transformation matrices and the pump coherency
-matrix.  Every built state, the sweep's too, passes one physicality gate that
-raises and never repairs; the sweep hands ``G`` itself to the Wootters kernel.
+matrix.  Both builders pass every state through one physicality gate that
+raises and never repairs.  The sweep forms no state: it takes the spectra
+from :func:`_spectrum_stack`, a closed form that holds because ``rho`` is
+unitarily equivalent to the Kronecker product of the arms' and the pump's
+moment matrices, and hands ``G`` itself to the Wootters kernel.
 """
 
 from __future__ import annotations
@@ -146,6 +149,11 @@ def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.
     rows HV and VH hold ``sqrt((1-t)/2) R(theta_2) Phi(alpha_2) F_J`` scaled
     by ``mu e^{i gamma_0}`` in columns 0-1 and by ``sqrt(1 - mu^2)`` in
     columns 2-3.
+
+    The row blocks are ``sqrt(t) U_1 F_J`` and ``sqrt(1-t) U_2 F_J`` with
+    ``U_i = R(theta_i) Phi(alpha_i)`` unitary, so ``rho = W (Gamma_t x J)
+    W^dag`` with ``W`` unitary and ``Gamma_t`` the 2x2 moment matrix of the
+    arms scaled by their weights: :func:`_spectrum_stack` gives the spectrum.
     """
     rest_p = np.sqrt((1.0 - pump_p) * (1.0 + pump_p))
     h1, v1 = _arm_rows(np.sqrt(t / 2.0), theta1, alpha1, pump_p, rest_p)
@@ -169,15 +177,39 @@ def _density_stack(pump_p, t, theta1, theta2, alpha1, alpha2, mu, gamma0) -> np.
     return g
 
 
-def _validate_built(rho: np.ndarray, origin: str) -> np.ndarray:
-    """Physicality gate for a stack of built states; returns their spectra, non-ascending."""
+def _spectrum_stack(pump_p, t, mu) -> np.ndarray:
+    """Spectra of the pair states, non-ascending, from broadcastable parameters.
+
+    ``rho`` is unitarily equivalent to ``Gamma_t x J`` (see
+    :func:`_density_stack`), where ``J`` has eigenvalues ``j+- = (1 +- P)/2``
+    and ``Gamma_t = [[t, c], [c*, 1-t]]`` with ``|c|^2 = t (1-t) mu^2`` has
+    ``g+- = (1 +- sqrt((1-2t)^2 + 4 t (1-t) mu^2))/2``: the spectrum is the
+    four products ``g+- j+-``.  The discriminant is written as that sum of
+    squares, not as ``1 - 4 det``, so it keeps its relative accuracy when
+    it is small, and ``g- = det / g+`` with ``det = t (1-t) (1-mu^2)``
+    avoids the cancellation in ``(1 - sqrt(...))/2``.  Returns a float array
+    of shape ``broadcast_shape + (4,)``; every entry is a product of
+    nonnegative numbers, so a zero eigenvalue is exactly +0.0.
+    """
+    both = t * (1.0 - t)
+    det = both * ((1.0 - mu) * (1.0 + mu))
+    g_plus = (1.0 + np.sqrt(np.square(1.0 - 2.0 * t) + 4.0 * both * np.square(mu))) / 2.0
+    g_minus = det / g_plus
+    j_plus, j_minus = (1.0 + pump_p) / 2.0, (1.0 - pump_p) / 2.0
+    cross = g_plus * j_minus, g_minus * j_plus
+    return np.stack(
+        (g_plus * j_plus, np.maximum(*cross), np.minimum(*cross), g_minus * j_minus), axis=-1
+    )
+
+
+def _validate_built(rho: np.ndarray, origin: str) -> None:
+    """Physicality gate for a stack of built states."""
     try:
-        w = check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
+        check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
     except InvalidDensityMatrixError as exc:
         failure = type(exc)(f"{origin}: {exc}")
         failure.index = exc.index
         raise failure from exc
-    return w[..., ::-1]
 
 
 def build_density_matrix(params: SchemeParams) -> np.ndarray:

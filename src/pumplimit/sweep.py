@@ -16,13 +16,14 @@ A vectorized renderer produces them exactly for the positive values that
 :func:`sweep_to_csv` replaces its target only once the whole sweep is
 written.
 
-Every stage (drawing, building, the source's gate, the Wootters kernel,
-rendering, the audit and the CSV reader) works on batches of 2048 samples, a
-working set that stays in cache, and the batch tasks are made only as they
-are consumed, so the memory of :func:`sweep_to_csv` and :func:`verify_csv`
-does not grow with ``n``.  A batch has one layout from draw to disk: the
-pair ``(ids, values)`` of its int64 ``sample_id``s and an ``(n, 15)`` float
-array whose columns are the CSV fields after ``sample_id``, in file order.
+Every stage (drawing, building the factors ``G`` and the closed-form spectra,
+the source's gate, the Wootters kernel, rendering, the audit and the CSV
+reader) works on batches of 2048 samples, a working set that stays in cache,
+and the batch tasks are made only as they are consumed, so the memory of
+:func:`sweep_to_csv` and :func:`verify_csv` does not grow with ``n``.  A
+batch has one layout from draw to disk: the pair ``(ids, values)`` of its
+int64 ``sample_id``s and an ``(n, 15)`` float array whose columns are the
+CSV fields after ``sample_id``, in file order.
 
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by the same two arrays: each :class:`SweepRecord` is built
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
-from .linalg import _check_seed, _is_int, dagger, validate_spectrum
+from .linalg import _check_seed, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -100,7 +101,7 @@ _ID_WIDTH, _TEXT_WIDTH = 20, 24
 _N_FIELDS = CSV_HEADER.count(",") + 1
 #: columns of a batch's values: the CSV fields after sample_id, settings first
 _VALUE_FIELDS = CSV_HEADER.split(",")[1:]
-_P, _T, _C = (_VALUE_FIELDS.index(name) for name in ("pump_p", "t", "concurrence"))
+_P, _T, _MU, _C = (_VALUE_FIELDS.index(name) for name in ("pump_p", "t", "mu", "concurrence"))
 _SPECTRUM = slice(_VALUE_FIELDS.index("lambda1"), _VALUE_FIELDS.index("lambda4") + 1)
 _UNIT_INDEX = [_VALUE_FIELDS.index(name) for name in _UNIT_INTERVAL]
 
@@ -225,17 +226,25 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     """The ``(ids, values)`` batch of samples [start, stop).
 
     ``values`` holds the settings, the concurrence, both bounds and the
-    spectrum in CSV column order.  Every state passes the builders'
-    physicality gate, which gives the spectra; a state that fails it
-    raises InvalidDensityMatrixError naming its ``sample_id``.
+    spectrum in CSV column order.  The states ``rho = G G^dag`` are never
+    formed: the spectra come in closed form from the settings, and the
+    concurrence from ``G``.  The source's gate checks what a product
+    ``G G^dag`` leaves open, since it is Hermitian and PSD for any ``G``:
+    the trace rule on ``tr G G^dag = ||G||_F^2`` with the builders' 1e-12
+    budget (a NaN entry breaks it), and the spectrum rules.  A state that
+    fails raises InvalidDensityMatrixError or InvalidSpectrumError naming
+    its ``sample_id``.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
     g = scheme._density_stack(*settings.T)
+    spectra = scheme._spectrum_stack(pump_p, settings[:, _T], settings[:, _MU])
+    entries = g.reshape(len(g), 16).view(np.float64)  # real and imaginary parts
     try:
-        spectra = scheme._validate_built(g @ dagger(g), "sweep")
-    except InvalidDensityMatrixError as exc:
-        failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc.__cause__}")
+        _trace_rule(np.einsum("ij,ij->i", entries, entries), scheme.BUILT_TRACE_TOL)
+        validate_spectrum(spectra)
+    except (InvalidDensityMatrixError, InvalidSpectrumError) as exc:
+        failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index
         raise failure from exc
     conc = _concurrence_from_s(*_wootters_stack(g).T)

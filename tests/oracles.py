@@ -154,12 +154,41 @@ def density_elements(params):
     return rho
 
 
+def _source_state_mp(params):
+    """The source state ``L (Gamma x J) L^dag`` as an mpmath matrix, at the working precision.
+
+    ``L`` holds the arm maps on its rows; ``Gamma x J`` holds the inter-arm
+    and pump second moments.
+    """
+    import mpmath
+
+    mpf = mpmath.mpf
+    pump_p, mu = mpf(params.pump_p), mpf(params.mu)
+
+    def arm(eta, theta, alpha):
+        c, s = mpmath.cos(mpf(theta)), mpmath.sin(mpf(theta))
+        e = mpmath.expj(mpf(alpha))
+        return [[eta * c, eta * s * e], [-eta * s, eta * c * e]]
+
+    c1 = arm(mpmath.sqrt(mpf(params.t)), params.theta1, params.alpha1)
+    c2 = arm(mpmath.sqrt(1 - mpf(params.t)), params.theta2, params.alpha2)
+    lift = mpmath.zeros(4, 4)
+    for col in range(2):
+        lift[0, col], lift[3, col] = c1[1][col], c1[0][col]
+        lift[1, col + 2], lift[2, col + 2] = c2[1][col], c2[0][col]
+    coh = mu * mpmath.expj(mpf(params.gamma0))
+    gamma = [[1, mpmath.conj(coh)], [coh, 1]]
+    pump = [[mpf(1) / 2, pump_p / 2], [pump_p / 2, mpf(1) / 2]]
+    moments = mpmath.matrix(
+        [[gamma[r // 2][c // 2] * pump[r % 2][c % 2] for c in range(4)] for r in range(4)]
+    )
+    return lift * moments * lift.H
+
+
 def source_concurrence_mp(params, dps=50):
     """Concurrence of the source state at ``dps`` digits, from its settings (mpmath).
 
-    The state is ``L (Gamma x J) L^dag`` with the arm maps on the rows of
-    ``L`` and the inter-arm and pump second moments in ``Gamma x J``.  The
-    s-values come from the Hermitian form sqrt(rho) rho~ sqrt(rho) with
+    The s-values come from the Hermitian form sqrt(rho) rho~ sqrt(rho) with
     both eigenproblems solved at full precision, so the square roots of
     zero eigenvalues add only ~1e-25.
     """
@@ -167,32 +196,23 @@ def source_concurrence_mp(params, dps=50):
 
     with mpmath.workdps(dps):
         mpf = mpmath.mpf
-        pump_p, mu = mpf(params.pump_p), mpf(params.mu)
-
-        def arm(eta, theta, alpha):
-            c, s = mpmath.cos(mpf(theta)), mpmath.sin(mpf(theta))
-            e = mpmath.expj(mpf(alpha))
-            return [[eta * c, eta * s * e], [-eta * s, eta * c * e]]
-
-        c1 = arm(mpmath.sqrt(mpf(params.t)), params.theta1, params.alpha1)
-        c2 = arm(mpmath.sqrt(1 - mpf(params.t)), params.theta2, params.alpha2)
-        lift = mpmath.zeros(4, 4)
-        for col in range(2):
-            lift[0, col], lift[3, col] = c1[1][col], c1[0][col]
-            lift[1, col + 2], lift[2, col + 2] = c2[1][col], c2[0][col]
-        coh = mu * mpmath.expj(mpf(params.gamma0))
-        gamma = [[1, mpmath.conj(coh)], [coh, 1]]
-        pump = [[mpf(1) / 2, pump_p / 2], [pump_p / 2, mpf(1) / 2]]
-        moments = mpmath.matrix(
-            [[gamma[r // 2][c // 2] * pump[r % 2][c % 2] for c in range(4)] for r in range(4)]
-        )
-        rho = lift * moments * lift.H
+        rho = _source_state_mp(params)
         w, v = mpmath.eigh(rho)
         root = v * mpmath.diag([mpmath.sqrt(max(mpmath.re(x), 0)) for x in w]) * v.H
         flip = mpmath.matrix(np.real(kron_expand(SIGMA_Y, SIGMA_Y)).tolist())
         ev, _ = mpmath.eigh(root * (flip * rho.conjugate() * flip) * root)
         s = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in ev), reverse=True)
         return float(max(mpf(0), s[0] - s[1] - s[2] - s[3]))
+
+
+def source_spectrum_mp(params, dps=50):
+    """Eigenvalues of the source state at ``dps`` digits, non-ascending, as floats (mpmath)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        w = mpmath.eigh(_source_state_mp(params), eigvals_only=True)
+        return np.array(sorted((float(mpmath.re(x)) for x in w), reverse=True))
+
 
 def random_density(rng, dim):
     """Full-rank random density matrix from a Ginibre draw."""

@@ -13,13 +13,13 @@ from pumplimit import (
     concurrence,
     is_two_d,
     transform_fields,
-    validate_density_matrix,
 )
 from pumplimit.errors import NotPSDError
-from pumplimit.scheme import _density_stack, _validate_built
+from pumplimit.linalg import dagger
+from pumplimit.scheme import _density_stack, _spectrum_stack, _validate_built
 from pumplimit.sweep import COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
 from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
-from oracles import density_elements, random_density, source_concurrence_mp
+from oracles import density_elements, random_density, source_concurrence_mp, source_spectrum_mp
 
 
 def params_with(**overrides):
@@ -151,10 +151,7 @@ def test_built_state_gate_keeps_failing_position():
         _validate_built(stack, "origin")
     assert info.value.index == 3
     rng = np.random.default_rng(53)
-    valid = np.array([build_density_matrix(random_params(rng)) for _ in range(5)])
-    spectra = _validate_built(valid, "origin")
-    for rho, spectrum in zip(valid, spectra):
-        np.testing.assert_array_equal(spectrum, validate_density_matrix(rho))
+    _validate_built(np.array([build_density_matrix(random_params(rng)) for _ in range(5)]), "origin")
 
 
 def test_general_bound_over_random_settings():
@@ -242,3 +239,41 @@ def test_two_level_concurrence_closed_form():
         for pump_p in (0.0, 0.37, 0.8, 1.0):
             p = params_with(t=1.0, theta1=theta1, alpha1=math.pi / 2.0, pump_p=pump_p)
             assert concurrence(build_density_matrix(p)) == pytest.approx(pump_p, abs=1e-15)
+
+
+def _spectrum_error(columns):
+    """Largest distance of the closed-form spectra from ``eigvalsh`` of the built ``G G^dag``."""
+    pump_p, t, mu = (columns[COLUMNS.index(name)] for name in ("pump_p", "t", "mu"))
+    g = _density_stack(*columns)
+    solved = np.linalg.eigvalsh(g @ dagger(g))[..., ::-1]
+    return np.abs(_spectrum_stack(pump_p, t, mu) - solved).max()
+
+
+@pytest.mark.parametrize("mode", ["general", "two_d"])
+def test_closed_form_spectrum_matches_eigensolver(mode):
+    columns = _draw_columns(SweepConfig(n_samples=2048, seed=61, mode=mode), 0, 2048)
+    assert _spectrum_error(columns.T) <= 1e-14
+
+
+def test_closed_form_spectrum_matches_eigensolver_at_the_edges():
+    # 1 - P and 1 - mu log-uniform in [1e-12, 1e-3], on five beam-splitter ratios
+    near = 1.0 - 10.0 ** np.random.default_rng(62).uniform(-12.0, -3.0, size=(2, 64))
+    t = np.array([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0])[:, None]
+    columns = [np.broadcast_to(c, (5, 64)) for c in _draw_columns(SweepConfig(64, seed=62), 0, 64).T]
+    columns[COLUMNS.index("pump_p")], columns[COLUMNS.index("mu")] = near
+    columns[COLUMNS.index("t")] = t
+    assert _spectrum_error(columns) <= 1e-14
+
+
+def test_closed_form_spectrum_matches_fifty_digit_reference():
+    rng = np.random.default_rng(63)
+    settings = [random_params(rng) for _ in range(20)]
+    # t near 1/2 with mu near 0 is where a discriminant written 1 - 4 det cancels
+    settings += [replace(p, t=0.5, mu=mu) for p, mu in zip(settings[:6], (0.0, 1e-12, 1e-9, 1e-5, 1e-3, 0.1))]
+    settings += [replace(p, t=0.5 + d) for p, d in zip(settings[6:10], (1e-15, -1e-12, 1e-9, -1e-6))]
+    settings += _near_rank_deficient_settings()[:7]
+    settings += [replace(p, t=t) for p, t in zip(settings[10:13], (0.0, 1e-12, 1.0))]
+    reference = np.array([source_spectrum_mp(p) for p in settings])
+    columns = (np.array([getattr(p, name) for p in settings]) for name in ("pump_p", "t", "mu"))
+    error = np.abs(_spectrum_stack(*columns) - reference).max(axis=-1)
+    assert error.max() <= 1e-15, settings[int(np.argmax(error))]

@@ -385,6 +385,67 @@ def test_failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path):
     assert len(load_csv(path)) == cfg.n_samples
 
 
+def test_gate_refuses_nan_factor_entry_by_sample_id(monkeypatch):
+    original = pumplimit.scheme._density_stack
+
+    def with_nan_entry(*args):
+        g = original(*args)
+        if g.shape[0] < _BATCH:
+            g[_BAD_STATES[0], 2, 1] = complex(np.nan, 0.0)
+        return g
+
+    monkeypatch.setattr(pumplimit.scheme, "_density_stack", with_nan_entry)
+    with pytest.raises(InvalidDensityMatrixError, match="trace nan is not 1") as info:
+        run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
+    assert f"sweep: sample_id={_BATCH + _BAD_STATES[0]}:" in str(info.value)
+    assert info.value.index == _BATCH + _BAD_STATES[0]
+
+
+def test_gate_refuses_bad_spectrum_by_sample_id(monkeypatch):
+    original = pumplimit.scheme._spectrum_stack
+
+    def with_nan_value(*args):
+        spectra = original(*args)
+        if spectra.shape[0] < _BATCH:
+            spectra[_BAD_STATES[1], 3] = np.nan
+        return spectra
+
+    monkeypatch.setattr(pumplimit.scheme, "_spectrum_stack", with_nan_value)
+    with pytest.raises(InvalidSpectrumError, match="non-finite") as info:
+        run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
+    assert f"sweep: sample_id={_BATCH + _BAD_STATES[1]}:" in str(info.value)
+    assert info.value.index == _BATCH + _BAD_STATES[1]
+
+
+def test_sweep_calls_no_hermitian_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called a Hermitian eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert len(run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))) == _BATCH + 100
+
+
+def test_two_level_states_have_exact_zero_eigenvalues():
+    _, values = _evaluate(SweepConfig(n_samples=_BATCH, seed=64, mode="two_d"), 0, _BATCH)
+    rank_deficient = values[:, -2:]  # lambda3, lambda4: t = 1 makes det Gamma_t = 0
+    assert (rank_deficient == 0.0).all()
+    assert not np.signbit(rank_deficient).any()
+
+
+@pytest.mark.parametrize("mode", ["general", "two_d"])
+def test_every_swept_spectrum_is_majorized_by_the_pump_embedding(mode):
+    # the paper's step: lambda(rho) < ((1+P)/2, (1-P)/2, 0, 0), row by row
+    records = run_sweep(SweepConfig(n_samples=4096, seed=65, mode=mode))
+    spectra = np.array([r.spectrum for r in records])
+    pump_p = np.array([r.params.pump_p for r in records])
+    embedded = np.zeros_like(spectra)
+    embedded[:, 0], embedded[:, 1] = (1.0 + pump_p) / 2.0, (1.0 - pump_p) / 2.0
+    partial, bound = np.cumsum(spectra, axis=1), np.cumsum(embedded, axis=1)
+    assert (partial[:, :3] <= bound[:, :3] + 1e-15).all()
+    assert np.abs(partial[:, 3] - bound[:, 3]).max() <= 1e-15
+
+
 def test_sweep_keeps_symlinks_and_writes_pipes_in_place(tmp_path):
     cfg = SweepConfig(n_samples=50, seed=3)
     expected = tmp_path / "expected.csv"
