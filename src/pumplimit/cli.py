@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=("general", "two_d"), required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads in one process; the CSV bytes do not depend on it")
     p.add_argument("--out", required=True, metavar="RESULTS.csv")
     p.set_defaults(handler=_cmd_sweep)
 

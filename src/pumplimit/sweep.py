@@ -8,9 +8,11 @@ sweep seed, and each sample owns a fixed window of the counter stream (two
 4-word blocks = eight uniform draws).  Sample values therefore depend only
 on ``(seed, sample_id)``; batching and worker scheduling cannot change them,
 and the CSV produced for a given configuration is byte-identical for any
-worker count.  Rows carry exactly the bytes of one fixed template,
-``"%d" + ",%.17g" * 15``, so every float re-parses to the same double; the
-bytes of the file, not just its values, are the reproducibility contract.
+worker count.  Workers are threads of one process, which suffices because
+numpy and LAPACK release the GIL for nearly all of a batch's time.  Rows
+carry exactly the bytes of one fixed template, ``"%d" + ",%.17g" * 15``, so
+every float re-parses to the same double; the bytes of the file, not just
+its values, are the reproducibility contract.
 A vectorized renderer produces them exactly for the positive values that
 ``%.17g`` prints in fixed notation and for +0.0, and ``%`` renders the rest.
 :func:`sweep_to_csv` replaces its target only once the whole sweep is
@@ -396,8 +398,11 @@ def _batches(cfg: SweepConfig) -> Iterator[tuple]:
 def _ordered_map(func, tasks: Iterable, workers: int):
     """Apply ``func(*task)`` over tasks, in order, with bounded parallelism.
 
-    Tasks are drawn from the iterable only as the window has room for them.
-    A single task runs in this process: no pool starts for it.
+    Tasks are drawn from the iterable only as the window has room for them,
+    and a single task runs inline: no pool starts for it.  The workers are
+    threads, since a batch spends nearly all its time in numpy and LAPACK
+    calls that release the GIL; no result is pickled.  A task that raises,
+    or a caller that stops early, cancels the queued tasks.
     """
     tasks = iter(tasks)
     head = list(islice(tasks, 2))
@@ -405,17 +410,20 @@ def _ordered_map(func, tasks: Iterable, workers: int):
         for task in chain(head, tasks):
             yield func(*task)
         return
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = workers * 4
-        pending = []
+    pool = ThreadPoolExecutor(max_workers=workers)
+    window = workers * 4
+    pending = []
+    try:
         for task in chain(head, tasks):
             pending.append(pool.submit(func, *task))
             if len(pending) >= window:
                 yield pending.pop(0).result()
         while pending:
             yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,39 @@ def test_pool_module_imported_only_when_a_pool_starts(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr or "concurrent.futures was imported"
     assert (tmp_path / "one.csv").read_text().count("\n") == 2
+
+
+def test_workers_start_no_child_process(tmp_path):
+    code = (
+        "import resource, sys, pumplimit\n"
+        f"cfg = pumplimit.SweepConfig(n_samples={2 * _BATCH + 1}, seed=1, workers=2)\n"
+        f"pumplimit.sweep_to_csv(cfg, {str(tmp_path / 'two.csv')!r})\n"
+        "assert len(pumplimit.run_sweep(cfg)) == cfg.n_samples\n"
+        "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules,\n"
+        "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # a pool ran, yet no multiprocessing import and no child's peak memory
+    assert proc.stdout.split() == ["True", "False", "0"]
+    assert (tmp_path / "two.csv").read_text().count("\n") == 2 * _BATCH + 2
+
+
+def test_threads_under_fast_switching_keep_every_batch(tmp_path):
+    cfg = SweepConfig(n_samples=6 * _BATCH + 5, seed=12)
+    sweep_to_csv(cfg, tmp_path / "w1.csv")
+    expected = run_sweep(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = dataclasses.replace(cfg, workers=8)  # more threads than cores
+        sweep_to_csv(threaded, tmp_path / "w8.csv")
+        records = run_sweep(threaded)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "w8.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+    np.testing.assert_array_equal(records._ids, expected._ids)
+    np.testing.assert_array_equal(records._values, expected._values)
 
 
 def _traced_peak(func) -> int:
@@ -359,17 +393,25 @@ def _plant_bad_states(monkeypatch):
     monkeypatch.setattr(pumplimit.scheme, "_density_stack", with_bad_states)
 
 
-def test_gate_failure_names_sample_id(monkeypatch):
+def _gate_failure_names_sample_id(monkeypatch, workers):
     _plant_bad_states(monkeypatch)
     with pytest.raises(InvalidDensityMatrixError, match="trace 4 is not 1") as info:
-        run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
+        run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6, workers=workers))
     assert f"sample_id={_BATCH + _BAD_STATES[0]}:" in str(info.value)
     assert info.value.index == _BATCH + 37
 
 
-def test_failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path):
+def test_gate_failure_names_sample_id(monkeypatch):
+    _gate_failure_names_sample_id(monkeypatch, workers=1)
+
+
+def test_gate_failure_names_sample_id_through_pool(monkeypatch):
+    _gate_failure_names_sample_id(monkeypatch, workers=2)
+
+
+def _failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path, workers):
     path = tmp_path / "out.csv"
-    cfg = SweepConfig(n_samples=_BATCH + 100, seed=6)
+    cfg = SweepConfig(n_samples=_BATCH + 100, seed=6, workers=workers)
     _plant_bad_states(monkeypatch)
     for earlier in (None, b"earlier content\n"):
         if earlier is not None:
@@ -383,6 +425,46 @@ def test_failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path):
     sweep_to_csv(cfg, path)
     assert os.listdir(tmp_path) == [path.name]
     assert len(load_csv(path)) == cfg.n_samples
+
+
+def test_failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path):
+    _failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path, workers=1)
+
+
+def test_failed_sweep_through_pool_leaves_path_as_it_was(monkeypatch, tmp_path):
+    _failed_sweep_leaves_path_as_it_was(monkeypatch, tmp_path, workers=2)
+
+
+def test_failed_batch_cancels_the_queued_batches(monkeypatch):
+    evaluated = []
+    original = pumplimit.sweep._evaluate
+
+    def counted(cfg, start, stop):
+        evaluated.append(start)
+        if start == 0:
+            raise InvalidDensityMatrixError("sweep: sample_id=0: planted")
+        return original(cfg, start, stop)
+
+    monkeypatch.setattr(pumplimit.sweep, "_evaluate", counted)
+    workers = 2
+    with pytest.raises(InvalidDensityMatrixError, match="planted"):
+        run_sweep(SweepConfig(n_samples=20 * _BATCH, seed=6, workers=workers))
+    assert 0 in evaluated
+    assert len(evaluated) < workers * 4  # the window the pool fills before the first result
+
+
+def test_early_stop_cancels_the_queued_batches():
+    started = []
+
+    def slow(i):
+        started.append(i)
+        time.sleep(0.05)
+        return i
+
+    results = _ordered_map(slow, ((i,) for i in range(100)), 2)
+    assert next(results) == 0
+    results.close()
+    assert len(started) < 2 * 4
 
 
 def test_gate_refuses_nan_factor_entry_by_sample_id(monkeypatch):
