@@ -35,10 +35,7 @@ from .linalg import (
     RNG_ALGORITHM,
     generator_from_seed,
     haar_unitary,
-    hermitian_eig,
     random_haar_unitary,
-    sqrt_psd,
-    tensor,
     validate_density_matrix,
     validate_spectrum,
 )
@@ -114,9 +111,6 @@ __all__ = [
     "BadParameterError",
     "BadConfigError",
     # matrix core
-    "hermitian_eig",
-    "sqrt_psd",
-    "tensor",
     "random_haar_unitary",
     "haar_unitary",
     "generator_from_seed",

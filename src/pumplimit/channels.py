@@ -84,7 +84,7 @@ def validate_doubly_stochastic(ch: KrausChannel):
 def apply_channel(ch: KrausChannel, state) -> np.ndarray:
     """Apply ``sum_i M_i rho M_i^dag`` to a 4x4 density matrix."""
     a = as_matrix(state, dims=(4,))
-    validate_density_matrix(a, dim=4)
+    validate_density_matrix(a)
     out = (ch.stack @ a @ ch.adjoint).sum(axis=0)
     out += dagger(out)
     out *= 0.5

@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .channels import is_majorized_by, validate_doubly_stochastic
 from .errors import PumpLimitError
-from .linalg import RNG_ALGORITHM, validate_density_matrix
+from .linalg import RNG_ALGORITHM, as_matrix, validate_density_matrix
 from .polarization import canonical_pump
 from .scheme import build_density_matrix, build_density_matrix_oracle
 from .serialize import (
@@ -110,7 +110,7 @@ def _cmd_saturate(args) -> int:
 def _cmd_channel_verify(args) -> int:
     ch = load_channel(args.channel)
     sigma = load_matrix(args.source)
-    eps = validate_density_matrix(sigma, dim=4)
+    eps = validate_density_matrix(as_matrix(sigma, dims=(4,)))
     tp, unital = validate_doubly_stochastic(ch)
     print(f"trace_preserving = {str(tp).lower()}")
     print(f"unital = {str(unital).lower()}")

@@ -65,41 +65,6 @@ def as_matrix(m, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``m`` is a square matrix of dimension 2 or 4, Hermitian within
-    :data:`HERMITIAN_TOL` (the Hermiticity rule of :func:`check_states`;
-    a NaN entry breaks it).  Returns ``(values, vectors)``: real eigenvalues
-    sorted non-ascending and the matching eigenvector columns of a unitary
-    matrix, so ``m = vectors @ diag(values) @ vectors^dag`` up to rounding.
-    """
-    w, v = check_states(as_matrix(m), trace_tol=math.inf, eig_floor=math.inf, vectors=True)
-    return w[::-1], v[:, ::-1]
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    The Hermiticity and PSD rules of :func:`check_states` apply; eigenvalues
-    in ``[-PSD_TOL, 0)`` are rounding noise and count as zero.
-    """
-    w, v = check_states(as_matrix(m), trace_tol=math.inf, vectors=True)
-    w, v = w[::-1], v[:, ::-1]
-    root = (v * np.sqrt(np.where(w < 0.0, 0.0, w))) @ dagger(v)
-    return (root + dagger(root)) / 2.0
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices.
-
-    Row-major block convention: ``out[2i+k, 2j+l] = a[i, j] * b[k, l]``.
-    """
-    a = as_matrix(a, dims=(2,))
-    b = as_matrix(b, dims=(2,))
-    return np.kron(a, b)
-
-
 def _is_bool(value) -> bool:
     """Whether ``value`` is a Python or numpy bool."""
     return isinstance(value, (bool, np.bool_))
@@ -171,14 +136,13 @@ def check_states(
     dims: tuple[int, ...] = SUPPORTED_DIMS,
     herm_tol: float = HERMITIAN_TOL,
     trace_tol: float = TRACE_TOL,
-    eig_floor: float = PSD_TOL,
     vectors: bool = False,
 ):
     """Apply the density-matrix rules to a stack of shape ``(..., n, n)``.
 
     The rules, checked in order: square trailing axes with ``n`` in ``dims``,
     Hermiticity within ``herm_tol`` (max norm), unit trace within
-    ``trace_tol`` and no eigenvalue below ``-eig_floor``.  The eigenvalues
+    ``trace_tol`` and no eigenvalue below ``-PSD_TOL``.  The eigenvalues
     are those of the Hermitian part ``(m + m^dag)/2``, from ``eigvalsh`` or,
     with ``vectors``, from ``eigh``.  Returns ``w`` or, with ``vectors``,
     ``(w, v)``, eigenvalues ascending, so that callers reuse the one
@@ -215,7 +179,7 @@ def check_states(
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     low = (eig[0] if vectors else eig)[..., 0]
-    ok = low >= -eig_floor
+    ok = low >= -PSD_TOL
     if not _all(ok):
         _reject(NotPSDError, ok, low, "negative eigenvalue {:.3e}")
     return eig
@@ -246,17 +210,14 @@ def _reject(error, ok, values, message: str):
     raise exc
 
 
-def validate_density_matrix(m, dim: int | None = None) -> np.ndarray:
+def validate_density_matrix(m) -> np.ndarray:
     """Check the density-matrix invariants and return the spectrum.
 
     Verifies Hermiticity, unit trace and positive semidefiniteness with
     the default budgets of :func:`check_states`; returns the eigenvalues
     sorted non-ascending.  Raises InvalidDensityMatrixError on any violation.
     """
-    a = as_matrix(m)
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionMismatchError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    return check_states(a)[::-1]
+    return check_states(as_matrix(m))[::-1]
 
 
 def validate_spectrum(values) -> np.ndarray:

@@ -30,10 +30,11 @@ CSV fields after ``sample_id``, in file order.
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by the same two arrays: each :class:`SweepRecord` is built
 when it is accessed, and :func:`verify_bounds` audits the values without
-building any.  The records are held once: both functions allocate one
-``(ids, values)`` store up front and copy each checked batch into it, the
-sweep sizing it by ``n_samples`` and the reader by a first pass over the
-file that counts its lines, so :func:`load_csv` reads the file twice.  The
+building any.  A SweepRecords checks its rows when it is constructed,
+whoever supplies the arrays.  The records are held once: both functions
+allocate one ``(ids, values)`` store up front and copy each batch into it,
+the sweep sizing it by ``n_samples`` and the reader by a first pass over
+the file that counts its lines, so :func:`load_csv` reads the file twice.  The
 audit recomputes both bounds from ``pump_p`` and trusts no stored bound
 column; a NaN slack counts as a violation.  A CSV is read only if its
 ``sample_id``s are nonnegative integers below 2**53 that strictly increase
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
-from .linalg import _check_seed, _is_int, _trace_rule, validate_spectrum
+from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
 
@@ -141,9 +142,12 @@ class SweepConfig:
             if isinstance(bounds, (str, bytes)):
                 raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair, got {bounds!r}")
             try:
-                lo, hi = map(float, bounds)
+                lo, hi = bounds
+                if _is_bool(lo) or _is_bool(hi):  # float() would read True as 1.0
+                    raise TypeError
+                lo, hi = float(lo), float(hi)
             except (TypeError, ValueError) as exc:
-                raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair") from exc
+                raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair of numbers") from exc
             if not math.isfinite(hi - lo) or lo > hi:
                 raise BadConfigError(f"bad range for {name!r}: ({lo}, {hi})")
             if name in _UNIT_INTERVAL and not (0.0 <= lo and hi <= 1.0):
@@ -173,34 +177,32 @@ class SweepRecord:
 class SweepRecords(Sequence):
     """Sweep records in sample order, held as one ``(ids, values)`` pair.
 
-    Indexing (and so iteration) builds each :class:`SweepRecord` on access;
-    slicing returns another SweepRecords over views of the same arrays.  A
-    record's settings pass the SchemeParams checks on access, except in the
-    stores of :func:`run_sweep` and :func:`load_csv`, whose every row
-    passed them as a batch.
+    Construction checks every row as :func:`verify_csv` does, _BATCH rows
+    at a time, and refuses the first bad one naming its ``sample_id``, so
+    every record's settings and spectrum are valid.  Indexing (and so
+    iteration) builds each :class:`SweepRecord` on access; slicing returns
+    another SweepRecords over views of the same arrays.
     """
 
     def __init__(self, records: tuple[np.ndarray, np.ndarray]):
         self._ids, self._values = records
-        self._checked = False  # set by _held for the rows _check_batch passed
+        for lo in range(0, len(self), _BATCH):
+            _check_batch(self._ids[lo : lo + _BATCH], self._values[lo : lo + _BATCH])
 
     def __len__(self) -> int:
         return self._ids.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            part = SweepRecords((self._ids[index], self._values[index]))
-            part._checked = self._checked
-            return part
+            return SweepRecords((self._ids[index], self._values[index]))
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"record index {index} out of range for {len(self)} records")
         row = self._values[i]
         conc, general, two_d = row[_C : _C + 3].tolist()
-        settings = dict(zip(COLUMNS, row[: len(COLUMNS)].tolist()))
         return SweepRecord(
             sample_id=int(self._ids[i]),
-            params=SchemeParams._from_checked(settings) if self._checked else SchemeParams(**settings),
+            params=SchemeParams._from_checked(dict(zip(COLUMNS, row[: len(COLUMNS)].tolist()))),
             concurrence=conc,
             bound_general=general,
             bound_2d=two_d,
@@ -500,11 +502,7 @@ def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
 
 
 def _records_from_batch(ids: np.ndarray, values: np.ndarray, store: tuple, at: int) -> int:
-    """Check a batch's settings and spectra once, then copy it into ``store`` from row ``at``.
-
-    Returns the row after the batch's last.
-    """
-    _check_batch(ids, values)
+    """Copy a batch into ``store`` from row ``at``; returns the row after the batch's last."""
     stop = at + len(ids)
     store[0][at:stop] = ids
     store[1][at:stop] = values
@@ -512,7 +510,7 @@ def _records_from_batch(ids: np.ndarray, values: np.ndarray, store: tuple, at: i
 
 
 def _held(batches: Iterable[tuple], capacity: int, source) -> SweepRecords:
-    """The records of ``batches``, each checked and copied into one store of ``capacity`` rows.
+    """The records of ``batches``, copied into one store of ``capacity`` rows.
 
     Rows the batches leave unfilled stay an unused tail behind the records'
     views.  A batch that would run past the store raises BadConfigError
@@ -524,9 +522,7 @@ def _held(batches: Iterable[tuple], capacity: int, source) -> SweepRecords:
         if filled + len(ids) > capacity:
             raise BadConfigError(f"{source}: more rows than the {capacity} counted (changed while read)")
         filled = _records_from_batch(ids, values, store, filled)
-    records = SweepRecords((store[0][:filled], store[1][:filled]))
-    records._checked = True
-    return records
+    return SweepRecords((store[0][:filled], store[1][:filled]))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepRecords:

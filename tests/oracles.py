@@ -221,11 +221,6 @@ def random_density(rng, dim):
     return rho / np.real(np.trace(rho))
 
 
-def random_hermitian(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
 def random_unitary(rng, dim):
     """Haar unitary for test inputs (QR of a Ginibre matrix, phase-fixed)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

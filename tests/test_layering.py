@@ -87,3 +87,16 @@ def _eigensolver_owners(path: Path) -> set[str]:
 def test_only_check_states_calls_the_eigensolvers():
     owners = set().union(*(_eigensolver_owners(path) for path in PACKAGE.glob("*.py")))
     assert owners == {"linalg.check_states"}
+
+
+def test_public_names_match_the_imports():
+    public = pumplimit.__all__
+    assert len(public) == len(set(public))
+    assert [name for name in public if not hasattr(pumplimit, name)] == []
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert sorted(imported - set(public)) == []

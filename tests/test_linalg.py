@@ -13,58 +13,24 @@ from pumplimit import (
     NotHermitianError,
     NotPSDError,
     generator_from_seed,
-    hermitian_eig,
     random_haar_unitary,
-    sqrt_psd,
-    tensor,
     validate_density_matrix,
     validate_spectrum,
 )
 from pumplimit.linalg import as_matrix, check_states
-from oracles import SIGMA_Y, eig2_hermitian, kron_expand, random_hermitian
-
-
-def test_hermitian_eig_diagonal():
-    w, _ = hermitian_eig(np.diag([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_hermitian_eig_scaled_identity():
-    w, v = hermitian_eig(np.eye(4) / 4.0)
-    np.testing.assert_allclose(w, [0.25] * 4, atol=1e-15)
-    np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
-
-
-def test_hermitian_eig_2x2_against_closed_form():
-    m = np.array([[0.5, 0.5], [0.5, 0.5]])
-    w, _ = hermitian_eig(m)
-    np.testing.assert_allclose(w, eig2_hermitian(m), atol=1e-15)
-    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(m)
+from oracles import eig2_hermitian, random_density
 
 
 def test_nan_breaks_the_hermiticity_rule():
-    m = np.diag([np.nan, 1.0])
-    for decompose in (hermitian_eig, sqrt_psd):
-        with pytest.raises(NotHermitianError):
-            decompose(m)
-
-
-def test_hermitian_eig_rejects_unsupported_dim():
-    with pytest.raises(DimensionMismatchError):
-        hermitian_eig(np.eye(3))
+    with pytest.raises(NotHermitianError):
+        check_states(np.diag([np.nan, 1.0]), vectors=True)
 
 
 def test_shape_checks_reject_mismatches():
     with pytest.raises(DimensionMismatchError):
         as_matrix(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
-        validate_density_matrix(np.eye(2) / 2.0, dim=4)
+        as_matrix(np.eye(2) / 2.0, dims=(4,))
 
 
 def _no_convergence(*args, **kwargs):
@@ -77,82 +43,22 @@ def test_eigensolver_failure_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergenceError, match="did not converge"):
         validate_density_matrix(np.eye(4) / 4.0)
     with pytest.raises(NoConvergenceError, match="did not converge"):
-        hermitian_eig(np.eye(4) / 4.0)
+        check_states(np.eye(4) / 4.0, vectors=True)
 
 
-def test_hermitian_eig_reconstruction():
+def test_check_states_vectors_reconstruct_the_state():
+    m = np.array([[0.5, 0.5], [0.5, 0.5]])
+    w, _ = check_states(m, vectors=True)
+    np.testing.assert_allclose(w[::-1], eig2_hermitian(m), atol=1e-15)
     rng = np.random.default_rng(11)
     for _ in range(500):
         for dim in (2, 4):
-            m = random_hermitian(rng, dim)
-            w, v = hermitian_eig(m)
-            assert np.all(np.diff(w) <= 0.0)
+            m = random_density(rng, dim)
+            w, v = check_states(m, vectors=True)
+            assert np.all(np.diff(w) >= 0.0)
             recon = (v * w) @ v.conj().T
             assert np.max(np.abs(recon - m)) <= 1e-10
             assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-12
-
-
-def test_sqrt_psd_identity_and_diagonal():
-    np.testing.assert_allclose(sqrt_psd(np.eye(4)), np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(sqrt_psd(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-14)
-
-
-def test_sqrt_psd_projector_fixed_point():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    proj = np.outer(plus, plus)
-    np.testing.assert_allclose(sqrt_psd(proj), proj, atol=1e-14)
-
-
-def test_sqrt_psd_squares_back():
-    rng = np.random.default_rng(12)
-    for _ in range(500):
-        for dim in (2, 4):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            m = g @ g.conj().T
-            r = sqrt_psd(m)
-            assert np.max(np.abs(r @ r - m)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
-            # PSD inputs never produce deep-negative spectra
-            assert np.linalg.eigvalsh(m).min() >= -1e-10 * max(1.0, np.max(np.abs(m)))
-
-
-def test_sqrt_psd_rejects_negative():
-    with pytest.raises(NotPSDError):
-        sqrt_psd(np.diag([1.0, -1.0]))
-
-
-def test_tensor_identity():
-    np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_sigma_y_pair():
-    got = tensor(SIGMA_Y, SIGMA_Y)
-    np.testing.assert_allclose(got, kron_expand(SIGMA_Y, SIGMA_Y), atol=0.0)
-    expected = np.zeros((4, 4))
-    expected[0, 3] = expected[3, 0] = -1.0
-    expected[1, 2] = expected[2, 1] = 1.0
-    np.testing.assert_allclose(got, expected, atol=0.0)
-
-
-def test_tensor_places_pump_block():
-    j = np.array([[0.5, 0.25], [0.25, 0.5]])
-    out = tensor(np.diag([1.0, 0.0]), j)
-    np.testing.assert_array_equal(out[:2, :2], j)
-    assert np.max(np.abs(out[2:, :])) == 0.0
-    assert np.max(np.abs(out[:, 2:])) == 0.0
-
-
-def test_tensor_is_bilinear():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        lhs = tensor(a + b, c)
-        rhs = tensor(a, c) + tensor(b, c)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
-def test_tensor_rejects_wrong_dims():
-    with pytest.raises(DimensionMismatchError):
-        tensor(np.eye(4), np.eye(2))
 
 
 def test_haar_deterministic_per_seed():
@@ -270,7 +176,7 @@ def test_check_states_on_a_lone_state_names_it_like_a_stack(n):
     negative = np.diag([1.5, -0.5] + [0.0] * (n - 2))
     rules = [
         # (bad state, the rule's error class, message, the tolerance that switches it off)
-        (negative, NotPSDError, "negative eigenvalue -5.000e-01", "eig_floor"),
+        (negative, NotPSDError, "negative eigenvalue -5.000e-01", None),
         (off_diagonal, NotHermitianError, "not Hermitian: defect 1.000e-01 exceeds 1.0e-10", "herm_tol"),
         (np.diag([np.nan] + [1.0] * (n - 1)), NotHermitianError, "not Hermitian: defect nan exceeds 1.0e-10", None),
         (nan_off_diagonal, NotHermitianError, "not Hermitian: defect nan exceeds 1.0e-10", None),

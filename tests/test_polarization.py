@@ -80,6 +80,7 @@ def test_embed_pump_layout_and_property():
         emb = embed_pump(j)
         np.testing.assert_allclose(emb.sigma[:2, :2], j, atol=0.0)
         assert np.max(np.abs(emb.sigma[2:, :])) == 0.0
+        assert np.max(np.abs(emb.sigma[:, 2:])) == 0.0
         p = degree_of_polarization(j)
         expected = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0, 0.0, 0.0])
         assert np.max(np.abs(emb.spectrum - expected)) <= 1e-12

@@ -25,6 +25,7 @@ from pumplimit import (
     SweepRecord,
     SweepRecords,
     build_density_matrix,
+    canonical_pump,
     concurrence,
     is_two_d,
     load_csv,
@@ -36,6 +37,7 @@ from pumplimit import (
 )
 from pumplimit.sweep import (
     _BATCH,
+    _VALUE_FIELDS,
     COLUMNS,
     CSV_HEADER,
     _batches,
@@ -652,33 +654,65 @@ def test_sweep_records_sequence():
     assert records[0].spectrum[0] != -1.0
 
 
-def test_records_recheck_settings_unless_their_store_was_checked(tmp_path, monkeypatch):
+def test_records_check_caller_arrays_when_built_and_never_on_access(tmp_path, monkeypatch):
     cfg = SweepConfig(n_samples=40, seed=12)
     swept = run_sweep(cfg)
     sweep_to_csv(cfg, tmp_path / "s.csv")
     loaded = load_csv(tmp_path / "s.csv")
     expected = [r.params for r in swept]
-    # arrays a caller brings are checked row by row on access
+    # arrays a caller brings are checked when the records are built
     values = swept._values.copy()
     values[3, COLUMNS.index("mu")] = 1.5
-    own = SweepRecords((swept._ids, values))
-    with pytest.raises(BadParameterError, match="mu must be in"):
-        own[3]
-    with pytest.raises(BadParameterError, match="mu must be in"):
-        own[2:5][1]
-    assert own[2].params == expected[2]
+    with pytest.raises(BadParameterError, match="^sample_id=3: mu must be in"):
+        SweepRecords((swept._ids, values))
+    own = SweepRecords((swept._ids, swept._values.copy()))
 
-    # the stores of run_sweep and load_csv passed _check_batch: no second check
+    # no record access runs the SchemeParams checks again
     def refuse(self):
         raise AssertionError("settings checked again")
 
     monkeypatch.setattr(SchemeParams, "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="checked again"):
-        own[2]
-    for records in (swept, loaded):
+    for records in (swept, loaded, own):
         assert [r.params for r in records] == expected
         assert [r.params for r in records[10:20]] == expected[10:20]
         assert all(type(value) is float for value in vars(records[0].params).values())
+
+
+@pytest.mark.parametrize(
+    "row, changes, error, message",
+    [
+        # a row the audit alone would pass: its bound comes from the bad pump_p
+        (3, {"pump_p": 1.5, "concurrence": 1.2}, BadParameterError, "pump_p must be in"),
+        (3, {"pump_p": np.nan}, BadParameterError, "pump_p must be finite"),
+        (3, {"lambda2": np.nan}, InvalidSpectrumError, "non-finite"),
+        (35, {"pump_p": 1.5, "concurrence": 1.2}, BadParameterError, "pump_p must be in"),
+    ],
+    ids=["p-out-of-range", "p-nan", "spectrum-nan", "third-batch"],
+)
+def test_caller_records_with_a_bad_row_are_refused_when_built(monkeypatch, row, changes, error, message):
+    swept = run_sweep(SweepConfig(n_samples=40, seed=12))
+    values = swept._values.copy()
+    for name, value in changes.items():
+        values[row, _VALUE_FIELDS.index(name)] = value
+    monkeypatch.setattr(pumplimit.sweep, "_BATCH", 16)  # row 35 lies in the third batch
+    with pytest.raises(error, match=f"^sample_id={row}: .*{message}"):
+        SweepRecords((swept._ids, values))
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, error",
+    [
+        (canonical_pump, dict(p=True), BadParameterError),
+        (canonical_pump, dict(p=np.bool_(False)), BadParameterError),
+        (SweepConfig, dict(n_samples=10, seed=1, param_ranges={"t": (False, True)}), BadConfigError),
+        (SweepConfig, dict(n_samples=10, seed=1, param_ranges={"mu": (0.0, np.bool_(True))}), BadConfigError),
+    ],
+    ids=["pump-true", "pump-numpy-false", "range-bools", "range-numpy-bool"],
+)
+def test_bools_are_not_numbers(build, kwargs, error):
+    # SchemeParams refuses them too (tests/test_scheme.py)
+    with pytest.raises(error):
+        build(**kwargs)
 
 
 @pytest.mark.parametrize("read", [verify_csv, load_csv])

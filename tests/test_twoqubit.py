@@ -34,6 +34,10 @@ def test_spin_flip_swaps_hh_vv():
     got = spin_flip(basis_projector(0))
     np.testing.assert_allclose(got, basis_projector(3), atol=0.0)
     np.testing.assert_allclose(got, spin_flip_reference(basis_projector(0)), atol=0.0)
+    # sigma_y (x) sigma_y written out: -1 at (HH, VV) and (VV, HH), +1 at (HV, VH) and (VH, HV)
+    yy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    rho = random_density(np.random.default_rng(30), 4)
+    np.testing.assert_allclose(spin_flip(rho), yy @ rho.conj() @ yy, atol=1e-15)
 
 
 def test_spin_flip_fixes_bell():
