@@ -46,10 +46,14 @@ def test_eigensolver_failure_raises_no_convergence(monkeypatch):
         check_states(np.eye(4) / 4.0, vectors=True)
 
 
-def test_check_states_vectors_reconstruct_the_state():
+def test_check_states_vectors_match_2x2_closed_form():
     m = np.array([[0.5, 0.5], [0.5, 0.5]])
     w, _ = check_states(m, vectors=True)
     np.testing.assert_allclose(w[::-1], eig2_hermitian(m), atol=1e-15)
+    np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-15)
+
+
+def test_check_states_vectors_reconstruct_the_state():
     rng = np.random.default_rng(11)
     for _ in range(500):
         for dim in (2, 4):
