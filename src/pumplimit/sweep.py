@@ -20,9 +20,12 @@ written.
 
 Every stage (drawing, building the factors ``G`` and the closed-form spectra,
 the source's gate, the Wootters kernel, rendering, the audit and the CSV
-reader) works on batches of 2048 samples, a working set that stays in cache,
-and the batch tasks are made only as they are consumed, so the memory of
-:func:`sweep_to_csv` and :func:`verify_csv` does not grow with ``n``.  A
+reader) works on batches of 2048 samples, and the batch tasks are made only
+as they are consumed, so the memory of :func:`sweep_to_csv` and
+:func:`verify_csv` does not grow with ``n``.  The Wootters kernel and the
+renderer take a batch 1024 rows at a time, so that their temporaries stay
+within a core's L2 and are reused from block to block rather than returned
+to the kernel.  A
 batch has one layout from draw to disk: the pair ``(ids, values)`` of its
 int64 ``sample_id``s and an ``(n, 15)`` float array whose columns are the
 CSV fields after ``sample_id``, in file order.
@@ -95,9 +98,13 @@ SATURATING_SETTING = {
 
 # Philox counter blocks per sample: 2 blocks x 4 doubles = 8 draws
 _BLOCKS_PER_SAMPLE = 2
-# fixed evaluation batch, sized so that a batch's working set stays in cache;
-# must not depend on the worker count
+# fixed evaluation batch; must not depend on the worker count
 _BATCH = 2048
+# rows of a batch that the Wootters kernel and the renderer take at a time:
+# a block's temporaries (at most 1.4 MiB) fit in a core's 2 MiB L2, and the
+# heap keeps them from block to block instead of giving a whole batch's
+# 4 MiB back to the kernel after each one
+_BLOCK_ROWS = 1024
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
@@ -177,15 +184,23 @@ class SweepRecord:
 class SweepRecords(Sequence):
     """Sweep records in sample order, held as one ``(ids, values)`` pair.
 
-    Construction checks every row as :func:`verify_csv` does, _BATCH rows
-    at a time, and refuses the first bad one naming its ``sample_id``, so
-    every record's settings and spectrum are valid.  Indexing (and so
-    iteration) builds each :class:`SweepRecord` on access; slicing returns
-    another SweepRecords over views of the same arrays.
+    Construction refuses ``ids`` that are not a 1-D integer array and
+    ``values`` that are not a float array of shape ``(len(ids), 15)``, then
+    checks every row as :func:`verify_csv` does, _BATCH rows at a time,
+    and refuses the first bad one naming its ``sample_id``, so every
+    record's settings and spectrum are valid.  Indexing (and so iteration)
+    builds each :class:`SweepRecord` on access; slicing returns another
+    SweepRecords over views of the same arrays.
     """
 
     def __init__(self, records: tuple[np.ndarray, np.ndarray]):
-        self._ids, self._values = records
+        ids, values = records
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
+            raise BadParameterError(f"record ids must be a 1-D integer array, got {_describe(ids)}")
+        shape = (len(ids), len(_VALUE_FIELDS))
+        if not (isinstance(values, np.ndarray) and values.shape == shape and values.dtype.kind == "f"):
+            raise BadParameterError(f"record values must be a float array of shape {shape}, got {_describe(values)}")
+        self._ids, self._values = ids, values
         for lo in range(0, len(self), _BATCH):
             _check_batch(self._ids[lo : lo + _BATCH], self._values[lo : lo + _BATCH])
 
@@ -208,6 +223,11 @@ class SweepRecords(Sequence):
             bound_2d=two_d,
             spectrum=row[_SPECTRUM].copy(),
         )
+
+
+def _describe(a) -> str:
+    """An array's dtype and shape, or a non-array's type, for an error message."""
+    return f"{a.dtype} of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
 
 
 def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
@@ -251,7 +271,9 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index
         raise failure from exc
-    conc = _concurrence_from_s(*_wootters_stack(g).T)
+    # the kernel's two (n, 4, 4) complex temporaries are a batch's largest
+    s_values = [_wootters_stack(g[lo : lo + _BLOCK_ROWS]) for lo in range(0, len(g), _BLOCK_ROWS)]
+    conc = _concurrence_from_s(*np.concatenate(s_values).T)
     values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
     return np.arange(start, stop, dtype=np.int64), values
 
@@ -264,6 +286,15 @@ def _render_csv(ids: np.ndarray, values: np.ndarray) -> bytes:
     row is laid out in a fixed-width NUL-padded buffer (the id, then a comma
     and a text slot per value, then a newline); dropping the NULs packs it
     into the row bytes.
+    """
+    buf = _padded_rows(ids, values)
+    return buf[buf != 0].tobytes()
+
+
+def _padded_rows(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The NUL-padded row buffer of :func:`_render_csv`, one uint8 row per CSV row.
+
+    Kept apart from the packing, so that the text table is freed before it.
     """
     rows = len(ids)
     x = values.ravel()
@@ -282,7 +313,7 @@ def _render_csv(ids: np.ndarray, values: np.ndarray) -> bytes:
         row, col = np.divmod(slow, values.shape[1])
         cells[row, col, 1:] = fallback.view(np.uint8).reshape(slow.size, _TEXT_WIDTH)
     buf[:, -1] = ord("\n")
-    return buf[buf != 0].tobytes()
+    return buf
 
 
 def _split(a):
@@ -336,7 +367,26 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     e < 0; rows 5-22 the 17 digits, with the point after digit e when a
     nonzero digit follows it; trailing fraction zeros are NUL.
     """
-    n = x.size
+    # in stages, so that each stage's temporaries are freed before the next
+    chars, e8, point = _digit_chars(*_digits17(x))
+    # selections are arithmetic on uint8: np.where is many times slower here
+    text = np.zeros((_TEXT_WIDTH, x.size), dtype=np.uint8)
+    text[:5] = (e8 <= _LEAD_E) * _LEAD_CHARS
+    # row 5 + c holds digit c up to digit e, then the point, then digit c - 1;
+    # with e < 0 the point's row is row 22, after all 17 digits
+    after = e8.copy()
+    after[e8 < 0] = 16
+    text[5] = chars[0]
+    digits = text[6:23]
+    np.subtract(chars[1:], chars[:17], out=digits)  # wraps mod 256, undone below
+    digits *= _DIGIT_ROWS[1:] <= after
+    digits += chars[:17]
+    text[6 + after, np.arange(x.size)] = point * np.uint8(ord("."))
+    return text
+
+
+def _digits17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(D, e)`` of :func:`_fixed17`: x's 17 significant digits as an int64 in [1e16, 1e17), and its exponent."""
     e = np.floor(np.log10(x)).astype(np.int64)
     p, err = _times_pow10(x, 16 - e)
     low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
@@ -349,8 +399,16 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     carry = d == 10**17
     d[carry] = 10**16
     e[carry] += 1
+    return d, e
 
-    # rows 0-16: the digits, most significant first; row 17 (NUL) pads chars[1:].
+
+def _digit_chars(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shown digits of ``D``, an (18, n) uint8 table, with e as int8 and whether the point shows.
+
+    Rows 0-16 hold the digit characters, most significant first, and NUL
+    for a trailing fraction zero; row 17 is NUL and pads ``chars[1:]``.
+    """
+    n = d.size
     # d // 100 and a multiply stand in for np.divmod, which is ten times slower
     chars = np.zeros((18, n), dtype=np.uint8)
     for j in range(16, 0, -2):
@@ -365,31 +423,21 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     for j in range(15, -1, -1):
         shown[j] |= shown[j + 1]
     e8 = e.astype(np.int8)
-    at = np.arange(n)
-    point = shown.ravel()[np.clip(e + 1, 0, 16) * n + at] & (e8 >= 0)
+    point = shown.ravel()[np.clip(e + 1, 0, 16) * n + np.arange(n)] & (e8 >= 0)
     shown |= _DIGIT_ROWS[:17] <= e8
     chars[:17] += ord("0")
     chars[:17] *= shown
-
-    # selections are arithmetic on uint8: np.where is many times slower here
-    text = np.zeros((_TEXT_WIDTH, n), dtype=np.uint8)
-    text[:5] = (e8 <= _LEAD_E) * _LEAD_CHARS
-    # row 5 + c holds digit c up to digit e, then the point, then digit c - 1;
-    # with e < 0 the point's row is row 22, after all 17 digits
-    after = e8.copy()
-    after[e8 < 0] = 16
-    text[5] = chars[0]
-    digits = text[6:23]
-    np.subtract(chars[1:], chars[:17], out=digits)  # wraps mod 256, undone below
-    digits *= _DIGIT_ROWS[1:] <= after
-    digits += chars[:17]
-    text[6 + after, at] = point * np.uint8(ord("."))
-    return text
+    return chars, e8, point
 
 
 def _csv_task(cfg: SweepConfig, start: int, stop: int) -> tuple[bytes, tuple]:
+    """The CSV rows and the audit summary of samples [start, stop), rendered _BLOCK_ROWS at a time."""
     ids, values = _evaluate(cfg, start, stop)
-    return _render_csv(ids, values), _accumulate(values)
+    text = b"".join(
+        _render_csv(ids[lo : lo + _BLOCK_ROWS], values[lo : lo + _BLOCK_ROWS])
+        for lo in range(0, len(ids), _BLOCK_ROWS)
+    )
+    return text, _accumulate(values)
 
 
 def _batches(cfg: SweepConfig) -> Iterator[tuple]:

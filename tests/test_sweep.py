@@ -37,6 +37,7 @@ from pumplimit import (
 )
 from pumplimit.sweep import (
     _BATCH,
+    _BLOCK_ROWS,
     _VALUE_FIELDS,
     COLUMNS,
     CSV_HEADER,
@@ -210,7 +211,7 @@ def _traced_peak(func) -> int:
 def test_batch_memory_budget():
     task = (SweepConfig(n_samples=_BATCH, seed=3), 0, _BATCH)
     _csv_task(*task)  # one-time set-up is not part of a batch's working set
-    assert _traced_peak(lambda: _csv_task(*task)) <= 8 * 2**20
+    assert _traced_peak(lambda: _csv_task(*task)) <= 3 * 2**20
 
 
 def _records_nbytes(records) -> int:
@@ -351,6 +352,13 @@ def test_render_matches_oracle_across_chunk_boundaries():
     rendered = _render_csv(*batch)
     assert rendered == _render_oracle(*batch)
     assert rendered.count(b"\n") == n
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BATCH])
+def test_batch_rendered_in_blocks_matches_oracle(rows):
+    cfg = SweepConfig(n_samples=_BATCH + 7, seed=22)
+    text, _ = _csv_task(cfg, 7, 7 + rows)
+    assert text == _render_oracle(*_evaluate(cfg, 7, 7 + rows))
 
 
 def test_render_matches_oracle_on_adversarial_values():
@@ -676,6 +684,25 @@ def test_records_check_caller_arrays_when_built_and_never_on_access(tmp_path, mo
         assert [r.params for r in records] == expected
         assert [r.params for r in records[10:20]] == expected[10:20]
         assert all(type(value) is float for value in vars(records[0].params).values())
+
+
+@pytest.mark.parametrize(
+    "cut", ["short-ids", "short-values", "float-ids", "column-ids", "list-ids", "int-values", "narrow-values"]
+)
+def test_records_refuse_arrays_whose_shapes_disagree(cut):
+    swept = run_sweep(SweepConfig(n_samples=5, seed=12))
+    ids, values = swept._ids, swept._values
+    records, message = {
+        "short-ids": ((ids[:3], values), r"values must be a float array of shape \(3, 15\)"),
+        "short-values": ((ids, values[:3]), r"values must be a float array of shape \(5, 15\)"),
+        "float-ids": ((ids + 0.5, values), "ids must be a 1-D integer array, got float64"),
+        "column-ids": ((ids[:, None], values), r"ids must be a 1-D integer array, got int64 of shape \(5, 1\)"),
+        "list-ids": ((ids.tolist(), values), "ids must be a 1-D integer array, got list"),
+        "int-values": ((ids, values.astype(np.int64)), r"values must be .* \(5, 15\), got int64 of shape"),
+        "narrow-values": ((ids, values[:, :14]), r"values must be .* \(5, 15\), got float64 of shape \(5, 14\)"),
+    }[cut]
+    with pytest.raises(BadParameterError, match=f"^record {message}"):
+        SweepRecords(records)
 
 
 @pytest.mark.parametrize(
