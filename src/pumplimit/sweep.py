@@ -24,9 +24,10 @@ reader) works on batches of 2048 samples, and the batch tasks are made only
 as they are consumed, so the memory of :func:`sweep_to_csv` and
 :func:`verify_csv` does not grow with ``n``.  The Wootters kernel and the
 renderer take a batch 1024 rows at a time, so that their temporaries stay
-within a core's L2 and are reused from block to block rather than returned
-to the kernel.  A
-batch has one layout from draw to disk: the pair ``(ids, values)`` of its
+under glibc's heap trim threshold and are reused from block to block rather
+than returned to the operating system.  The kernel skips rows whose
+closed-form spectrum alone rules out entanglement (see :func:`_evaluate`).
+A batch has one layout from draw to disk: the pair ``(ids, values)`` of its
 int64 ``sample_id``s and an ``(n, 15)`` float array whose columns are the
 CSV fields after ``sample_id``, in file order.
 
@@ -41,8 +42,8 @@ the file that counts its lines, so :func:`load_csv` reads the file twice.  The
 audit recomputes both bounds from ``pump_p`` and trusts no stored bound
 column; a NaN slack counts as a violation.  A CSV is read only if its
 ``sample_id``s are nonnegative integers below 2**53 that strictly increase
-down the file and its stored spectra, as one stack, pass
-:func:`~pumplimit.linalg.validate_spectrum`.
+down the file, no concurrence is below 0 and its stored spectra, as one
+stack, pass :func:`~pumplimit.linalg.validate_spectrum`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
 from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
-from .twoqubit import _concurrence_from_s, _wootters_stack, concurrence
+from .twoqubit import _concurrence_from_s, _orbit_stack, _wootters_stack, concurrence
 
 CSV_HEADER = (
     "sample_id,pump_p,t,theta1,theta2,alpha1,alpha2,mu,gamma0,"
@@ -101,10 +102,15 @@ _BLOCKS_PER_SAMPLE = 2
 # fixed evaluation batch; must not depend on the worker count
 _BATCH = 2048
 # rows of a batch that the Wootters kernel and the renderer take at a time:
-# a block's temporaries (at most 1.4 MiB) fit in a core's 2 MiB L2, and the
-# heap keeps them from block to block instead of giving a whole batch's
-# 4 MiB back to the kernel after each one
+# a block's temporaries (at most 1.4 MiB) stay under glibc's heap trim
+# threshold, so the heap keeps them from block to block instead of giving a
+# whole batch's 4 MiB back to the operating system after each one and
+# faulting it in again for the next
 _BLOCK_ROWS = 1024
+# a row whose spectrum's orbit value lambda1 - lambda3 - 2 sqrt(lambda2 lambda4)
+# is below this is absolutely separable: its concurrence is +0.0 with no
+# Wootters kernel call.  The kernel's own error is about 1e-15.
+_SEPARABLE_BELOW = -1e-12
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
@@ -258,6 +264,12 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     budget (a NaN entry breaks it), and the spectrum rules.  A state that
     fails raises InvalidDensityMatrixError or InvalidSpectrumError naming
     its ``sample_id``.
+
+    The largest concurrence on a spectrum's unitary orbit is
+    ``max(0, lambda1 - lambda3 - 2 sqrt(lambda2 lambda4))``
+    (:func:`~pumplimit.twoqubit.unitary_max_concurrence`), so a row whose
+    orbit value is below ``_SEPARABLE_BELOW`` has concurrence +0.0, the
+    value the kernel gives it too; the kernel runs on the other rows only.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
@@ -271,9 +283,12 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index
         raise failure from exc
-    # the kernel's two (n, 4, 4) complex temporaries are a batch's largest
-    s_values = [_wootters_stack(g[lo : lo + _BLOCK_ROWS]) for lo in range(0, len(g), _BLOCK_ROWS)]
-    conc = _concurrence_from_s(*np.concatenate(s_values).T)
+    entangled = _orbit_stack(spectra) >= _SEPARABLE_BELOW
+    conc = np.zeros(len(g))
+    # the kernel's (n, 4, 4) complex temporaries are a batch's largest
+    for lo in range(0, len(g), _BLOCK_ROWS):
+        rows = lo + np.flatnonzero(entangled[lo : lo + _BLOCK_ROWS])
+        conc[rows] = _concurrence_from_s(*_wootters_stack(g[rows]).T)
     values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
     return np.arange(start, stop, dtype=np.int64), values
 
@@ -304,7 +319,15 @@ def _padded_rows(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     text = _fixed17(np.where(fast, x, 1.0))  # +0.0 and slow values render a placeholder
     text[5, zero] = ord("0")  # in place of the "1" of the placeholder 1.0
     buf = np.zeros((rows, _ID_WIDTH + (1 + _TEXT_WIDTH) * values.shape[1] + 1), dtype=np.uint8)
-    buf[:, :_ID_WIDTH] = ids.astype(f"S{_ID_WIDTH}").view(np.uint8).reshape(rows, _ID_WIDTH)
+    # the ids' digits, right-aligned in their slot; the ids are nonnegative,
+    # so the loop ends within the slot, and NULs stand for leading zeros
+    q = ids // 10
+    buf[:, _ID_WIDTH - 1] = ids - q * 10 + ord("0")
+    for col in range(_ID_WIDTH - 2, -1, -1):
+        if not q.any():
+            break
+        d, q = q, q // 10
+        buf[:, col] = (d - q * 10 + ord("0")) * (d > 0)
     cells = buf[:, _ID_WIDTH:-1].reshape(rows, values.shape[1], 1 + _TEXT_WIDTH)
     cells[..., 0] = ord(",")
     cells[..., 1:] = text.T.reshape(rows, values.shape[1], _TEXT_WIDTH)
@@ -527,12 +550,14 @@ def _accumulate(values: np.ndarray) -> tuple:
 
 
 def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
-    """Reject a batch whose settings or spectra SchemeParams or validate_spectrum would refuse.
+    """Reject a batch with a bad setting, a negative concurrence or a bad spectrum.
 
     Every setting must be finite and ``pump_p``, ``t`` and ``mu`` must lie
     in [0, 1]; the first failing row is rebuilt as SchemeParams so that the
-    error names its setting.  The spectra go through validate_spectrum as
-    one stack.  Either error is prefixed by the failing row's ``sample_id``.
+    error names its setting.  A concurrence below 0 (-inf included) raises
+    BadParameterError; a NaN or +inf one passes, for the audit to count as
+    a violation.  The spectra go through validate_spectrum as one stack.
+    Every error is prefixed by the failing row's ``sample_id``.
     """
     settings = values[:, : len(COLUMNS)]
     unit = values[:, _UNIT_INDEX]
@@ -543,6 +568,10 @@ def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
             SchemeParams(**dict(zip(COLUMNS, settings[i].tolist())))
         except BadParameterError as exc:
             raise BadParameterError(f"sample_id={ids[i]}: {exc}") from None
+    negative = values[:, _C] < 0.0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise BadParameterError(f"sample_id={ids[i]}: concurrence {float(values[i, _C])!r} is negative")
     try:
         validate_spectrum(values[:, _SPECTRUM])
     except InvalidSpectrumError as exc:
@@ -737,9 +766,9 @@ def _sample_ids(column: np.ndarray, lines: Sequence[int], path, last: float) -> 
 def verify_csv(path) -> BoundReport:
     """Audit a sweep CSV file against the bounds, streaming.
 
-    Rows whose settings SchemeParams would refuse raise BadParameterError,
-    and rows whose spectrum validate_spectrum would refuse raise
-    InvalidSpectrumError.
+    Rows whose settings SchemeParams would refuse, or whose concurrence is
+    negative, raise BadParameterError, and rows whose spectrum
+    validate_spectrum would refuse raise InvalidSpectrumError.
     """
     report = BoundReport()
     for ids, values in _columns_from_csv(path):

@@ -8,7 +8,11 @@ PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)), so no square root of
 a noisy eigenvalue is ever taken.  :func:`_wootters_stack` is the one kernel
 and checks nothing: the sweep hands it the source's gated closed-form factor;
 a state from outside is factored as ``V sqrt(w)`` from the ``eigh`` that its
-density-matrix check computes anyway.
+density-matrix check computes anyway.  The sweep calls the kernel only on
+rows whose closed-form spectrum leaves entanglement possible: a spectrum
+with ``l1 - l3 - 2 sqrt(l2 l4) < 0`` makes every state on its unitary orbit
+separable (see :func:`unitary_max_concurrence`), so such a row's
+concurrence is 0 without an SVD.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -54,11 +58,15 @@ def spin_flip(rho) -> np.ndarray:
 def _wootters_stack(g: np.ndarray) -> np.ndarray:
     """s-values of the states ``G G^dag`` for a stack of factors ``G``.
 
-    The singular values of ``G^T (sy x sy) G``, sorted non-ascending along
-    the last axis.  Callers pass factors of states already checked.
+    The singular values of ``M = G^T (sy x sy) G``, sorted non-ascending
+    along the last axis.  With ``g0..g3`` the rows of G, ``M = o + o^T``
+    for ``o = g1 g2^T - g0 g3^T``: two outer products per state in place of
+    a 4x4 matmul, which numpy runs as one BLAS call per state.  Callers
+    pass factors of states already checked.
     """
-    flipped = _FLIP_SIGNS * g[..., ::-1, :]
-    return np.linalg.svd(g.swapaxes(-1, -2) @ flipped, compute_uv=False)
+    o = g[..., 1, :, None] * g[..., 2, None, :]
+    o -= g[..., 0, :, None] * g[..., 3, None, :]
+    return np.linalg.svd(o + o.swapaxes(-1, -2), compute_uv=False)
 
 
 def _factor(rhos) -> np.ndarray:
@@ -105,14 +113,21 @@ def concurrence_many(rhos) -> np.ndarray:
     return _concurrence_from_s(*np.moveaxis(_wootters_stack(_factor(rhos)), -1, 0))
 
 
+def _orbit_stack(w: np.ndarray) -> np.ndarray:
+    """``l1 - l3 - 2 sqrt(l2 l4)`` of checked spectra (last axis).
+
+    At most 0 exactly when every state with the spectrum is separable.
+    """
+    return w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3])
+
+
 def unitary_max_concurrence(spectrum) -> float:
     """Largest concurrence on the unitary orbit of a spectrum.
 
     For eigenvalues l1 >= l2 >= l3 >= l4 this is
     ``max(0, l1 - l3 - 2 sqrt(l2 l4))``.
     """
-    w = validate_spectrum(spectrum)
-    return float(max(0.0, w[0] - w[2] - 2.0 * math.sqrt(w[1] * w[3])))
+    return max(0.0, float(_orbit_stack(validate_spectrum(spectrum))))
 
 
 def construct_max_entangled_state(spectrum) -> np.ndarray:

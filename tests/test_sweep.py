@@ -38,16 +38,19 @@ from pumplimit import (
 from pumplimit.sweep import (
     _BATCH,
     _BLOCK_ROWS,
+    _SEPARABLE_BELOW,
     _VALUE_FIELDS,
     COLUMNS,
     CSV_HEADER,
     _batches,
     _columns_from_csv,
     _csv_task,
+    _draw_columns,
     _evaluate,
     _ordered_map,
     _render_csv,
 )
+from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
 
 
 @pytest.mark.parametrize(
@@ -337,10 +340,12 @@ def _render_oracle(ids, values) -> bytes:
 
 def test_render_matches_oracle_on_special_values():
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 0.1]
+    # ids of 1 to 19 digits, up to the largest int64
+    ids = np.concatenate((np.arange(2**31 - 3, 2**31 + 22) * 3, [0, 9, 10, 99, 100, 2**53, 2**63 - 1]))
     rng = np.random.default_rng(4)
-    values = rng.choice(special, size=(25, 15))
+    values = rng.choice(special, size=(len(ids), 15))
     values[0] = special[:10] + special[:5]
-    batch = (np.arange(2**31 - 3, 2**31 + 22, dtype=np.int64) * 3, values)
+    batch = (ids.astype(np.int64), values)
     rendered = _render_csv(*batch)
     assert rendered == _render_oracle(*batch)
     assert rendered.startswith(b"6442450935,nan,inf,-inf,-0,0,4.9406564584124654e-324,1.0000000000000001e+300,")
@@ -507,6 +512,27 @@ def test_gate_refuses_bad_spectrum_by_sample_id(monkeypatch):
         run_sweep(SweepConfig(n_samples=_BATCH + 100, seed=6))
     assert f"sweep: sample_id={_BATCH + _BAD_STATES[1]}:" in str(info.value)
     assert info.value.index == _BATCH + _BAD_STATES[1]
+
+
+@pytest.mark.parametrize("mode", ["general", "two_d"])
+def test_kernel_skips_exactly_the_rows_whose_spectrum_rules_out_entanglement(monkeypatch, mode):
+    cfg = SweepConfig(n_samples=_BATCH, seed=23, mode=mode)
+    g = pumplimit.scheme._density_stack(*_draw_columns(cfg, 0, _BATCH).T)
+    full = _concurrence_from_s(*_wootters_stack(g).T)
+    kernel_rows = []
+
+    def counted(g):
+        kernel_rows.append(len(g))
+        return _wootters_stack(g)
+
+    monkeypatch.setattr(pumplimit.sweep, "_wootters_stack", counted)
+    _, values = _evaluate(cfg, 0, _BATCH)
+    conc = values[:, _VALUE_FIELDS.index("concurrence")]
+    assert conc.tobytes() == full.tobytes()  # bit for bit, signs of zeros included
+    l1, l2, l3, l4 = values[:, _VALUE_FIELDS.index("lambda1") :].T
+    open_rows = np.count_nonzero(l1 - l3 - 2.0 * np.sqrt(l2 * l4) >= _SEPARABLE_BELOW)
+    assert sum(kernel_rows) == open_rows
+    assert open_rows == _BATCH if mode == "two_d" else open_rows < 0.95 * _BATCH
 
 
 def test_sweep_calls_no_hermitian_eigensolver(monkeypatch):
@@ -815,7 +841,12 @@ def _with_row(path, out, sample_id, **values):
 
 @pytest.mark.parametrize(
     "name, value, match",
-    [("pump_p", 1.5, "pump_p must be in \\[0, 1\\]"), ("theta1", "nan", "theta1 must be finite")],
+    [
+        ("pump_p", 1.5, "pump_p must be in \\[0, 1\\]"),
+        ("theta1", "nan", "theta1 must be finite"),
+        ("concurrence", -0.5, "concurrence -0.5 is negative"),
+        ("concurrence", "-inf", "concurrence -inf is negative"),
+    ],
 )
 def test_load_csv_rejects_bad_settings(two_batch_csv, tmp_path, name, value, match):
     sample_id = _BATCH + 11
