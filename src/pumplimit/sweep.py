@@ -26,7 +26,7 @@ as they are consumed, so the memory of :func:`sweep_to_csv` and
 renderer take a batch 1024 rows at a time, so that their temporaries stay
 under glibc's heap trim threshold and are reused from block to block rather
 than returned to the operating system.  The kernel skips rows whose
-closed-form spectrum alone rules out entanglement (see :func:`_evaluate`).
+partial transpose is positive, which are separable (see :func:`_evaluate`).
 A batch has one layout from draw to disk: the pair ``(ids, values)`` of its
 int64 ``sample_id``s and an ``(n, 15)`` float array whose columns are the
 CSV fields after ``sample_id``, in file order.
@@ -62,7 +62,7 @@ from . import scheme
 from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
 from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
-from .twoqubit import _concurrence_from_s, _orbit_stack, _wootters_stack, concurrence
+from .twoqubit import _concurrence_from_s, _ppt_det_stack, _wootters_stack, concurrence
 
 CSV_HEADER = (
     "sample_id,pump_p,t,theta1,theta2,alpha1,alpha2,mu,gamma0,"
@@ -107,10 +107,12 @@ _BATCH = 2048
 # whole batch's 4 MiB back to the operating system after each one and
 # faulting it in again for the next
 _BLOCK_ROWS = 1024
-# a row whose spectrum's orbit value lambda1 - lambda3 - 2 sqrt(lambda2 lambda4)
-# is below this is absolutely separable: its concurrence is +0.0 with no
-# Wootters kernel call.  The kernel's own error is about 1e-15.
-_SEPARABLE_BELOW = -1e-12
+# a row whose det rho^{T_B} is above this has a positive partial transpose,
+# so it is separable and its concurrence is +0.0 with no Wootters kernel
+# call.  The determinant is a sum of 24 products of four entries of
+# rho^{T_B}, each of modulus at most 1 and computed within a few ulps, so
+# rounding moves it by less than 24 * 6e-15 < 2e-13.
+_PPT_ABOVE = 1e-12
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
@@ -265,11 +267,12 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     fails raises InvalidDensityMatrixError or InvalidSpectrumError naming
     its ``sample_id``.
 
-    The largest concurrence on a spectrum's unitary orbit is
-    ``max(0, lambda1 - lambda3 - 2 sqrt(lambda2 lambda4))``
-    (:func:`~pumplimit.twoqubit.unitary_max_concurrence`), so a row whose
-    orbit value is below ``_SEPARABLE_BELOW`` has concurrence +0.0, the
-    value the kernel gives it too; the kernel runs on the other rows only.
+    A two-qubit state is separable exactly when the partial transpose on
+    its second photon, ``rho^{T_B}``, has a nonnegative determinant, so a
+    row whose :func:`~pumplimit.twoqubit._ppt_det_stack` is above
+    ``_PPT_ABOVE`` has concurrence +0.0, the value the kernel gives it too;
+    the kernel runs on the other rows only.  Both take the batch
+    ``_BLOCK_ROWS`` rows at a time.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
@@ -283,12 +286,12 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
         failure.index = start + exc.index
         raise failure from exc
-    entangled = _orbit_stack(spectra) >= _SEPARABLE_BELOW
     conc = np.zeros(len(g))
     # the kernel's (n, 4, 4) complex temporaries are a batch's largest
     for lo in range(0, len(g), _BLOCK_ROWS):
-        rows = lo + np.flatnonzero(entangled[lo : lo + _BLOCK_ROWS])
-        conc[rows] = _concurrence_from_s(*_wootters_stack(g[rows]).T)
+        block = g[lo : lo + _BLOCK_ROWS]
+        rows = np.flatnonzero(_ppt_det_stack(block) <= _PPT_ABOVE)
+        conc[lo + rows] = _concurrence_from_s(*_wootters_stack(block[rows]).T)
     values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
     return np.arange(start, stop, dtype=np.int64), values
 
@@ -676,12 +679,12 @@ def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
 def _columns_from_csv(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The file's rows, _BATCH lines at a time, as the ``(ids, values)`` of a batch."""
     with open(path, "r", encoding="ascii") as handle:
-        header = handle.readline().strip()
+        header = "".join(_read_lines(handle, 1, path)).strip()
         if header != CSV_HEADER:
             raise BadConfigError(f"unexpected CSV header in {path}")
         line_no = 1  # lines read so far, the header included
         last_id = -1.0
-        while rows := list(islice(handle, _BATCH)):
+        while rows := _read_lines(handle, _BATCH, path):
             data, lines = _parse_rows(rows, path, line_no)
             line_no += len(rows)
             if not len(data):
@@ -689,6 +692,14 @@ def _columns_from_csv(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             ids = _sample_ids(data[:, 0], lines, path, last_id)
             last_id = data[-1, 0]
             yield ids, data[:, 1:]
+
+
+def _read_lines(handle, count: int, path) -> list:
+    """The next ``count`` lines of an ASCII text file; a byte that is not ASCII raises BadConfigError."""
+    try:
+        return list(islice(handle, count))
+    except UnicodeDecodeError as exc:
+        raise BadConfigError(f"{path}: not an ASCII text file (byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def _is_row(line: str) -> bool:

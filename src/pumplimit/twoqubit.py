@@ -9,10 +9,12 @@ a noisy eigenvalue is ever taken.  :func:`_wootters_stack` is the one kernel
 and checks nothing: the sweep hands it the source's gated closed-form factor;
 a state from outside is factored as ``V sqrt(w)`` from the ``eigh`` that its
 density-matrix check computes anyway.  The sweep calls the kernel only on
-rows whose closed-form spectrum leaves entanglement possible: a spectrum
-with ``l1 - l3 - 2 sqrt(l2 l4) < 0`` makes every state on its unitary orbit
-separable (see :func:`unitary_max_concurrence`), so such a row's
-concurrence is 0 without an SVD.
+rows that may be entangled: :func:`_ppt_det_stack` gives ``det rho^{T_B}``
+of the partial transpose on the second photon from ``G`` in closed form,
+and a two-qubit state is entangled exactly when it is negative (Peres, PRL
+77, 1413 (1996); Augusiak, Demianowicz and Horodecki, PRA 77, 030301(R)
+(2008)), so a row whose determinant is clearly positive has concurrence 0
+without an SVD.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -67,6 +70,37 @@ def _wootters_stack(g: np.ndarray) -> np.ndarray:
     o = g[..., 1, :, None] * g[..., 2, None, :]
     o -= g[..., 0, :, None] * g[..., 3, None, :]
     return np.linalg.svd(o + o.swapaxes(-1, -2), compute_uv=False)
+
+
+def _ppt_det_stack(g: np.ndarray) -> np.ndarray:
+    """``det rho^{T_B}`` of the states ``rho = G G^dag`` for a stack of factors ``G``.
+
+    ``T_B`` is the partial transpose on the second photon.  A two-qubit
+    state's partial transpose has at most one negative eigenvalue, so the
+    state is entangled exactly when this determinant is negative.  Shape
+    ``(n, 4, 4) -> (n,)``, computed elementwise with no LAPACK call: the ten
+    entries ``rho_ij``, ``i <= j``, as sums over the rows of G, placed by the
+    partial transpose, then Laplace's expansion in 2x2 minors.  Callers pass
+    factors of states already checked.
+    """
+    rows = np.ascontiguousarray(np.moveaxis(g, 0, -1))  # (4, 4, n): one state per column
+    conj = rows.conj()
+    rho = {}
+    for i, j in combinations_with_replacement(range(4), 2):
+        rho[i, j] = (rows[i] * conj[j]).sum(axis=0)
+        rho[j, i] = rho[i, j].conj()
+    # entry (x, y) of rho^{T_B} is rho's entry ((a b'), (a' b)) for x = (a b)
+    # and y = (a' b'), with index 2a + b
+    p = [[rho[x & 2 | y & 1, y & 2 | x & 1] for y in range(4)] for x in range(4)]
+    # Laplace's expansion along rows 0 and 1: each 2x2 minor of those rows
+    # times the minor of rows 2 and 3 on the other two columns, signed
+    det = np.zeros(len(g))
+    for i, j in combinations(range(4), 2):
+        k, l = sorted({0, 1, 2, 3} - {i, j})
+        top = p[0][i] * p[1][j] - p[0][j] * p[1][i]
+        bottom = p[2][k] * p[3][l] - p[2][l] * p[3][k]
+        det += (-1) ** (i + j + 1) * (top * bottom).real
+    return det
 
 
 def _factor(rhos) -> np.ndarray:

@@ -51,6 +51,20 @@ def concurrence_reference(rho):
     return max(0.0, s[0] - s[1] - s[2] - s[3])
 
 
+def partial_transpose_second(rho):
+    """Partial transpose on the second qubit by direct index expansion, over a stack.
+
+    out[..., 2a+b, 2c+d] = rho[..., 2a+d, 2c+b].
+    """
+    out = np.empty_like(rho)
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                for d in range(2):
+                    out[..., 2 * a + b, 2 * c + d] = rho[..., 2 * a + d, 2 * c + b]
+    return out
+
+
 def density_elements(params):
     """Pair state from the paper's 16 closed-form matrix elements.
 

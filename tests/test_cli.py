@@ -248,6 +248,23 @@ def test_input_errors_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "pump", "--p", "1.5")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "command,name,content,message",
+    [
+        ("verify", "rows.csv", CSV_HEADER.encode() + b"\n0,0.5\xff\n", "{path}: not an ASCII text file (byte 0xff)"),
+        ("concurrence", "state.json", b'{"dim": 4, "re": "\xc3\xa9"}', "'ascii' codec can't decode byte 0xc3"),
+    ],
+    ids=["csv", "json"],
+)
+def test_input_that_is_not_ascii_exits_one(capsys, tmp_path, command, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.format(path=path))
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 1
     assert run_cli(capsys)[0] == 1

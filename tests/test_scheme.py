@@ -17,9 +17,15 @@ from pumplimit import (
 from pumplimit.errors import NotPSDError
 from pumplimit.linalg import dagger
 from pumplimit.scheme import _density_stack, _spectrum_stack, _validate_built
-from pumplimit.sweep import COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
-from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
-from oracles import density_elements, random_density, source_concurrence_mp, source_spectrum_mp
+from pumplimit.sweep import _PPT_ABOVE, COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
+from pumplimit.twoqubit import _concurrence_from_s, _ppt_det_stack, _wootters_stack
+from oracles import (
+    density_elements,
+    partial_transpose_second,
+    random_density,
+    source_concurrence_mp,
+    source_spectrum_mp,
+)
 
 
 def params_with(**overrides):
@@ -224,6 +230,48 @@ def test_concurrence_of_near_rank_deficient_states_is_exact():
     scalar_error = np.abs(scalar - reference)
     assert sweep_error.max() <= 1e-14, settings[int(np.argmax(sweep_error))]
     assert scalar_error.max() <= 1e-14, settings[int(np.argmax(scalar_error))]
+
+
+@pytest.mark.parametrize("mode", ["general", "two_d"])
+def test_partial_transpose_determinant_matches_lu(mode):
+    g = _density_stack(*_draw_columns(SweepConfig(n_samples=2048, seed=67, mode=mode), 0, 2048).T)
+    solved = np.linalg.det(partial_transpose_second(g @ dagger(g)))
+    assert np.abs(solved.imag).max() <= 1e-15
+    assert np.abs(_ppt_det_stack(g) - solved.real).max() <= 1e-15
+
+
+def test_two_level_partial_transpose_determinant_is_never_positive():
+    # on span{HH, VV}: det rho^{T_B} = -rho_HH,HH rho_VV,VV |rho_HH,VV|^2
+    g = _density_stack(*_draw_columns(SweepConfig(n_samples=2048, seed=68, mode="two_d"), 0, 2048).T)
+    rho = g @ dagger(g)
+    det = _ppt_det_stack(g)
+    assert (det <= 0.0).all()
+    exact = -rho[:, 0, 0].real * rho[:, 3, 3].real * np.abs(rho[:, 0, 3]) ** 2
+    assert np.abs(det - exact).max() <= 1e-15
+
+
+def _nearest_the_ppt_boundary(columns, count):
+    """Settings of the ``count`` rows of smallest positive and of largest negative determinant, and the determinants."""
+    det = _ppt_det_stack(_density_stack(*columns.T))
+    positive = np.argsort(np.where(det > 0.0, det, np.inf))[:count]
+    negative = np.argsort(np.where(det < 0.0, -det, np.inf))[:count]
+    rows = [i for i in np.concatenate((positive, negative)) if np.isfinite(det[i])]
+    return [SchemeParams(**dict(zip(COLUMNS, columns[i].tolist()))) for i in rows], det[rows]
+
+
+def test_partial_transpose_determinant_sign_matches_fifty_digit_concurrence():
+    uniform = _draw_columns(SweepConfig(n_samples=2048, seed=69), 0, 2048)
+    # near the bound, 1-P and 1-mu log-uniform in [1e-12, 1e-3], every state is entangled
+    near = _draw_columns(SweepConfig(n_samples=2048, seed=70), 0, 2048)
+    edge = 1.0 - 10.0 ** np.random.default_rng(70).uniform(-12.0, -3.0, size=(2, 2048))
+    near[:, COLUMNS.index("pump_p")], near[:, COLUMNS.index("mu")] = edge
+    settings, det = _nearest_the_ppt_boundary(uniform, 4)
+    more, more_det = _nearest_the_ppt_boundary(near, 4)
+    settings, det = settings + more, np.concatenate((det, more_det))
+    reference = np.array([source_concurrence_mp(p) for p in settings])
+    assert np.count_nonzero(det > 0.0) == 4
+    assert (np.abs(det) > _PPT_ABOVE).all()  # so the sweep's skip follows the sign
+    assert ((reference > 0.0) == (det < 0.0)).all(), settings
 
 
 def test_two_level_concurrence_closed_form():

@@ -38,7 +38,7 @@ from pumplimit import (
 from pumplimit.sweep import (
     _BATCH,
     _BLOCK_ROWS,
-    _SEPARABLE_BELOW,
+    _PPT_ABOVE,
     _VALUE_FIELDS,
     COLUMNS,
     CSV_HEADER,
@@ -50,7 +50,7 @@ from pumplimit.sweep import (
     _ordered_map,
     _render_csv,
 )
-from pumplimit.twoqubit import _concurrence_from_s, _wootters_stack
+from pumplimit.twoqubit import _concurrence_from_s, _orbit_stack, _ppt_det_stack, _wootters_stack
 
 
 @pytest.mark.parametrize(
@@ -515,7 +515,7 @@ def test_gate_refuses_bad_spectrum_by_sample_id(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["general", "two_d"])
-def test_kernel_skips_exactly_the_rows_whose_spectrum_rules_out_entanglement(monkeypatch, mode):
+def test_kernel_skips_exactly_the_rows_whose_partial_transpose_is_positive(monkeypatch, mode):
     cfg = SweepConfig(n_samples=_BATCH, seed=23, mode=mode)
     g = pumplimit.scheme._density_stack(*_draw_columns(cfg, 0, _BATCH).T)
     full = _concurrence_from_s(*_wootters_stack(g).T)
@@ -529,10 +529,15 @@ def test_kernel_skips_exactly_the_rows_whose_spectrum_rules_out_entanglement(mon
     _, values = _evaluate(cfg, 0, _BATCH)
     conc = values[:, _VALUE_FIELDS.index("concurrence")]
     assert conc.tobytes() == full.tobytes()  # bit for bit, signs of zeros included
-    l1, l2, l3, l4 = values[:, _VALUE_FIELDS.index("lambda1") :].T
-    open_rows = np.count_nonzero(l1 - l3 - 2.0 * np.sqrt(l2 * l4) >= _SEPARABLE_BELOW)
-    assert sum(kernel_rows) == open_rows
-    assert open_rows == _BATCH if mode == "two_d" else open_rows < 0.95 * _BATCH
+    skipped = _ppt_det_stack(g) > _PPT_ABOVE
+    assert sum(kernel_rows) == np.count_nonzero(~skipped)
+    # the spectrum's orbit test skips only absolutely separable rows, all among these
+    absolutely_separable = _orbit_stack(values[:, _VALUE_FIELDS.index("lambda1") :]) < -1e-12
+    assert not (absolutely_separable & ~skipped).any()
+    if mode == "two_d":
+        assert not skipped.any()
+    else:
+        assert np.count_nonzero(absolutely_separable) < np.count_nonzero(skipped) < 0.5 * _BATCH
 
 
 def test_sweep_calls_no_hermitian_eigensolver(monkeypatch):
@@ -773,6 +778,16 @@ def test_csv_with_wrong_header_is_refused(tmp_path, read):
     path = tmp_path / "wrong.csv"
     path.write_text(CSV_HEADER.replace("pump_p", "pump_q") + "\n")
     with pytest.raises(BadConfigError, match="unexpected CSV header"):
+        read(path)
+
+
+@pytest.mark.parametrize("read", [verify_csv, load_csv])
+@pytest.mark.parametrize("at", [3, -5])  # in the header, in the second batch's last row
+def test_csv_with_a_byte_that_is_not_ascii_is_refused(two_batch_csv, tmp_path, read, at):
+    text = two_batch_csv[0].read_bytes()
+    path = tmp_path / "binary.csv"
+    path.write_bytes(text[:at] + b"\x80" + text[at:])
+    with pytest.raises(BadConfigError, match=re.escape(f"{path}: not an ASCII text file (byte 0x80)")):
         read(path)
 
 
