@@ -21,7 +21,6 @@ from .linalg import (
     dagger,
     generator_from_seed,
     haar_unitary,
-    validate_density_matrix,
 )
 
 CHANNEL_TOL = 1e-10
@@ -34,26 +33,29 @@ class KrausChannel:
 
     Validity (trace preservation, unitality) is checked by
     :func:`validate_doubly_stochastic`, never assumed.  Operators are stored
-    once, as the read-only rows of ``stack``, beside their read-only
-    conjugate transposes in ``adjoint``.
+    once, as the read-only rows of ``stack``; the channel's natural
+    representation, which :func:`apply_channel` uses, is formed once beside
+    them as the read-only ``superoperator``.
     """
 
     operators: tuple
     labels: tuple | None = None
-    #: the operators stacked into one (k, 4, 4) array, for batched products
+    #: the operators stacked into one (k, 4, 4) array
     stack: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``stack`` with every operator conjugate-transposed
-    adjoint: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``sum_k M_k (x) conj(M_k)``, shape (16, 16): it maps the row-major
+    #: ``vec(rho)`` to ``vec(sum_k M_k rho M_k^dag)``
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) == 0:
             raise BadParameterError("channel needs at least one Kraus operator")
         stack = np.stack([as_matrix(op, dims=(4,)) for op in self.operators])
-        adjoint = dagger(stack)
+        # entry ((i, j), (k, l)) is sum_m M_m[i, k] conj(M_m[j, l])
+        superoperator = np.einsum("mik,mjl->ijkl", stack, stack.conj()).reshape(16, 16)
         stack.setflags(write=False)
-        adjoint.setflags(write=False)
+        superoperator.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "adjoint", adjoint)
+        object.__setattr__(self, "superoperator", superoperator)
         object.__setattr__(self, "operators", tuple(stack))
         if self.labels is not None:
             if not isinstance(self.labels, (list, tuple)):
@@ -73,19 +75,25 @@ def validate_doubly_stochastic(ch: KrausChannel):
     """Return ``(trace_preserving, unital)`` for a channel.
 
     Each flag reports whether the corresponding operator sum is the identity
-    within :data:`CHANNEL_TOL` in max norm.
+    within :data:`CHANNEL_TOL` in max norm.  Both sums are read from the
+    superoperator ``S``: ``vec(sum M M^dag) = S vec(1)`` and
+    ``vec(sum M^dag M) = S^dag vec(1)``.
     """
-    eye = np.eye(4)
-    tp_defect = np.abs(np.sum(ch.adjoint @ ch.stack, axis=0) - eye).max()
-    un_defect = np.abs(np.sum(ch.stack @ ch.adjoint, axis=0) - eye).max()
+    eye = np.eye(4).reshape(16)
+    tp_defect = np.abs(ch.superoperator.conj().T @ eye - eye).max()
+    un_defect = np.abs(ch.superoperator @ eye - eye).max()
     return bool(tp_defect <= CHANNEL_TOL), bool(un_defect <= CHANNEL_TOL)
 
 
 def apply_channel(ch: KrausChannel, state) -> np.ndarray:
-    """Apply ``sum_i M_i rho M_i^dag`` to a 4x4 density matrix."""
+    """Apply ``sum_i M_i rho M_i^dag`` to a 4x4 density matrix.
+
+    The state passes the density-matrix rules; the sum is one product of
+    the channel's superoperator with ``vec(rho)``, made exactly Hermitian.
+    """
     a = as_matrix(state, dims=(4,))
-    validate_density_matrix(a)
-    out = (ch.stack @ a @ ch.adjoint).sum(axis=0)
+    check_states(a)
+    out = (ch.superoperator @ a.reshape(16)).reshape(4, 4)
     out += dagger(out)
     out *= 0.5
     return out
@@ -120,11 +128,10 @@ def is_majorized_by(target, source, tol: float = MAJORIZATION_TOL) -> Majorizati
     except InvalidDensityMatrixError as exc:
         raise type(exc)(f"{('target', 'source')[exc.index]}: {exc}") from None
     cum_t, cum_s = spectra[:, ::-1].cumsum(axis=1)
-    slack = cum_s - cum_t
-    worst = float(slack[:3].min())
-    holds = worst >= -tol and abs(float(slack[3])) <= tol
+    slack = (cum_s - cum_t).tolist()
+    worst = min(slack[:3])
     return MajorizationReport(
-        holds=bool(holds),
+        holds=worst >= -tol and abs(slack[3]) <= tol,
         partial_sums_source=cum_s,
         partial_sums_target=cum_t,
         worst_slack=worst,

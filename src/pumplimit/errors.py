@@ -57,4 +57,9 @@ class BadParameterError(PumpLimitError):
 
 
 class BadConfigError(PumpLimitError):
-    """Sweep configuration is inconsistent or out of range."""
+    """Sweep configuration or input file is inconsistent, malformed or out of range."""
+
+
+def _not_ascii(path, exc: UnicodeDecodeError) -> BadConfigError:
+    """The error for an input file with a byte that is not ASCII, naming the file and the byte."""
+    return BadConfigError(f"{path}: not an ASCII text file (byte 0x{exc.object[exc.start]:02x})")

@@ -81,17 +81,17 @@ class SchemeParams:
         fields = vars(self)  # written directly: the dataclass is frozen
         for name in PARAM_FIELDS:
             value = fields[name]
-            try:
-                if _is_bool(value):  # float() would read True as 1.0
-                    raise TypeError
-                value = float(value)
-            except (TypeError, ValueError):
-                raise BadParameterError(f"{name} must be a number, got {value!r}") from None
+            if type(value) is not float:  # a float is kept as it is
+                try:
+                    if _is_bool(value):  # float() would read True as 1.0
+                        raise TypeError
+                    value = fields[name] = float(value)
+                except (TypeError, ValueError):
+                    raise BadParameterError(f"{name} must be a number, got {value!r}") from None
             if not math.isfinite(value):
                 raise BadParameterError(f"{name} must be finite, got {value!r}")
             if name in _UNIT_INTERVAL and not 0.0 <= value <= 1.0:
                 raise BadParameterError(f"{name} must be in [0, 1], got {value}")
-            fields[name] = value
 
     @classmethod
     def _from_checked(cls, settings: dict) -> SchemeParams:

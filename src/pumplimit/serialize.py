@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadParameterError
+from .errors import BadConfigError, BadParameterError, _not_ascii
 from .linalg import SUPPORTED_DIMS, _is_int, as_matrix
 from .scheme import PARAM_FIELDS, SchemeParams
 
@@ -58,8 +58,14 @@ def _write_json(path, obj) -> None:
 
 
 def _read_json(path):
-    with open(path, "r", encoding="ascii") as handle:
-        return json.load(handle)
+    """The JSON value in an ASCII text file; a bad byte or bad syntax raises BadConfigError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise _not_ascii(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise BadConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
 def save_matrix(path, m) -> None:

@@ -59,7 +59,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import scheme
-from .errors import BadConfigError, BadParameterError, InvalidDensityMatrixError, InvalidSpectrumError
+from .errors import (
+    BadConfigError,
+    BadParameterError,
+    InvalidDensityMatrixError,
+    InvalidSpectrumError,
+    _not_ascii,
+)
 from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_from_s, _ppt_det_stack, _wootters_stack, concurrence
@@ -699,7 +705,7 @@ def _read_lines(handle, count: int, path) -> list:
     try:
         return list(islice(handle, count))
     except UnicodeDecodeError as exc:
-        raise BadConfigError(f"{path}: not an ASCII text file (byte 0x{exc.object[exc.start]:02x})") from None
+        raise _not_ascii(path, exc) from None
 
 
 def _is_row(line: str) -> bool:

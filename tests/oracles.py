@@ -228,6 +228,16 @@ def source_spectrum_mp(params, dps=50):
         return np.array(sorted((float(mpmath.re(x)) for x in w), reverse=True))
 
 
+def kraus_apply(ops, rho):
+    """Channel output ``sum_k M_k rho M_k^dag`` by an explicit loop over the operators."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for m in ops:
+        m = np.asarray(m, dtype=complex)
+        out += m @ rho @ m.conj().T
+    return out
+
+
 def random_density(rng, dim):
     """Full-rank random density matrix from a Ginibre draw."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -19,7 +19,7 @@ from pumplimit import (
     validate_doubly_stochastic,
 )
 from pumplimit.errors import NotHermitianError, NotPSDError
-from oracles import SIGMA_X, kron_expand, random_density
+from oracles import SIGMA_X, kraus_apply, kron_expand, random_density
 
 
 def sigma_x_pair_channel():
@@ -199,5 +199,21 @@ def test_channel_operators_are_read_only():
     with pytest.raises(ValueError):
         ch.operators[0][0, 0] = 2.0
     with pytest.raises(ValueError):
-        ch.adjoint[0, 0, 1] = 2.0
-    np.testing.assert_array_equal(ch.adjoint[0], op.conj().T)
+        ch.stack[0, 0, 1] = 2.0
+    with pytest.raises(ValueError):
+        ch.superoperator[0, 1] = 2.0
+    np.testing.assert_array_equal(ch.superoperator, np.kron(op, op.conj()))
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 64])
+def test_apply_channel_matches_the_kraus_sum(k):
+    if k == 64:
+        ch = compose(random_mixed_unitary_channel(8, seed=700), random_mixed_unitary_channel(8, seed=701))
+    else:
+        ch = random_mixed_unitary_channel(k, seed=600 + k)
+    assert len(ch) == k
+    rng = np.random.default_rng(k)
+    for rho in (random_density(rng, 4), embed_pump(random_density(rng, 2)).sigma):
+        out = apply_channel(ch, rho)
+        np.testing.assert_allclose(out, kraus_apply(ch.operators, rho), rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(out, out.conj().T)

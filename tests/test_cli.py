@@ -17,6 +17,7 @@ from pumplimit import (
     save_channel,
     save_matrix,
     save_params,
+    validate_doubly_stochastic,
 )
 from pumplimit.cli import main
 from pumplimit.scheme import SchemeParams
@@ -240,6 +241,32 @@ def test_channel_verify_detects_majorization_violation(capsys, tmp_path):
     assert parsed_values(out)["majorized"] == "false"
 
 
+def test_channel_verify_flags_a_channel_outside_the_premise(capsys, tmp_path):
+    # M_i = |Phi+><i| is trace-preserving but not unital: it sends every state to a Bell state
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    ops = tuple(np.outer(phi, np.eye(4)[i]) for i in range(4))
+    ch = KrausChannel(operators=ops)
+    assert validate_doubly_stochastic(ch) == (True, False)
+    sigma = embed_pump(canonical_pump(0.2)).sigma
+    out = apply_channel(ch, sigma)
+    np.testing.assert_allclose(out, bell_phi(), rtol=0.0, atol=1e-15)
+    cpath, spath, tpath = (tmp_path / n for n in ("ch.json", "sigma.json", "rho.json"))
+    save_channel(cpath, ch)
+    save_matrix(spath, sigma)
+    save_matrix(tpath, out)
+    code, out, _ = run_cli(
+        capsys, "channel-verify", "--channel", str(cpath), "--source", str(spath),
+        "--target", str(tpath),
+    )
+    assert code == 2
+    values = parsed_values(out)
+    assert (values["trace_preserving"], values["unital"]) == ("true", "false")
+    assert values["majorized"] == "false"
+    assert float(values["concurrence"]) == pytest.approx(1.0, abs=1e-12)
+    assert float(values["bound_general"]) == pytest.approx(0.6, abs=1e-12)
+    assert values["bound_satisfied"] == "false"
+
+
 def test_input_errors_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "concurrence", "--in", str(tmp_path / "missing.json"))[0] == 1
     bad = tmp_path / "bad.json"
@@ -252,7 +279,7 @@ def test_input_errors_exit_one(capsys, tmp_path):
     "command,name,content,message",
     [
         ("verify", "rows.csv", CSV_HEADER.encode() + b"\n0,0.5\xff\n", "{path}: not an ASCII text file (byte 0xff)"),
-        ("concurrence", "state.json", b'{"dim": 4, "re": "\xc3\xa9"}', "'ascii' codec can't decode byte 0xc3"),
+        ("concurrence", "state.json", b'{"dim": 4, "re": "\xc3\xa9"}', "{path}: not an ASCII text file (byte 0xc3)"),
     ],
     ids=["csv", "json"],
 )
@@ -263,6 +290,16 @@ def test_input_that_is_not_ascii_exits_one(capsys, tmp_path, command, name, cont
     assert (code, out) == (1, "")
     assert err.startswith("error: " + message.format(path=path))
     assert "Traceback" not in err
+
+
+def test_channel_verify_names_the_malformed_file(capsys, tmp_path):
+    cpath, spath = tmp_path / "ch.json", tmp_path / "sigma.json"
+    save_channel(cpath, KrausChannel(operators=(np.eye(4),)))
+    spath.write_text('{"dim": 4,')
+    code, out, err = run_cli(capsys, "channel-verify", "--channel", str(cpath), "--source", str(spath))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {spath}: not valid JSON: ")
+    assert str(cpath) not in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -17,6 +17,7 @@ from pumplimit import (
     validate_density_matrix,
     validate_spectrum,
 )
+import pumplimit.linalg as linalg
 from pumplimit.linalg import as_matrix, check_states
 from oracles import eig2_hermitian, random_density
 
@@ -197,6 +198,32 @@ def test_check_states_on_a_lone_state_names_it_like_a_stack(n):
         if switch is not None:
             w = check_states(bad, **{switch: math.inf})
             assert w.shape == (n,) and np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (1024, 4, 4)])
+def test_check_states_traces_match_ndarray_trace_bit_for_bit(monkeypatch, shape):
+    rng = np.random.default_rng(sum(shape))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = g @ g.conj().swapaxes(-1, -2)  # traces far from 1, kept by a wide trace budget
+    seen = []
+    rule = linalg._trace_rule
+    monkeypatch.setattr(linalg, "_trace_rule", lambda tr, tol: seen.append(tr) or rule(tr, tol))
+    check_states(stack, trace_tol=1e300)
+    expected = np.asarray(stack.trace(axis1=-2, axis2=-1))
+    assert np.asarray(seen[0]).tobytes() == expected.tobytes()
+
+
+def test_check_states_decomposes_the_hermitian_part():
+    rng = np.random.default_rng(77)
+    exact = np.array([random_density(rng, 4) for _ in range(64)])
+    exact = (exact + exact.conj().swapaxes(-1, -2)) / 2.0
+    assert np.array_equal(exact, exact.conj().swapaxes(-1, -2))
+    skewed = exact + 1e-12j * np.triu(np.ones((4, 4)), 1)
+    for stack in (exact, skewed):
+        h = (stack + stack.conj().swapaxes(-1, -2)) * 0.5
+        assert check_states(stack).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        for got, want in zip(check_states(stack, vectors=True), np.linalg.eigh(h)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_check_states_rejects_bad_shape():
