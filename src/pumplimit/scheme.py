@@ -37,14 +37,6 @@ from .errors import BadParameterError, InvalidDensityMatrixError
 from .linalg import _is_bool, as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
 
-__all__ = [
-    "SchemeParams",
-    "PARAM_FIELDS",
-    "transform_fields",
-    "build_density_matrix",
-    "build_density_matrix_oracle",
-]
-
 PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pump_p")
 
 #: trace budget of assembled states, tighter than for states from outside

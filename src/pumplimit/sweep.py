@@ -19,17 +19,16 @@ A vectorized renderer produces them exactly for the positive values that
 written.
 
 Every stage (drawing, building the factors ``G`` and the closed-form spectra,
-the source's gate, the Wootters kernel, rendering, the audit and the CSV
+the source's gate, the concurrence kernel, rendering, the audit and the CSV
 reader) works on batches of 2048 samples, and the batch tasks are made only
 as they are consumed, so the memory of :func:`sweep_to_csv` and
-:func:`verify_csv` does not grow with ``n``.  The Wootters kernel and the
-renderer take a batch 1024 rows at a time, so that their temporaries stay
-under glibc's heap trim threshold and are reused from block to block rather
-than returned to the operating system.  The kernel skips rows whose
-partial transpose is positive, which are separable (see :func:`_evaluate`).
-A batch has one layout from draw to disk: the pair ``(ids, values)`` of its
-int64 ``sample_id``s and an ``(n, 15)`` float array whose columns are the
-CSV fields after ``sample_id``, in file order.
+:func:`verify_csv` does not grow with ``n``.  The concurrence kernel and
+the renderer take a batch 1024 rows at a time, so that their temporaries
+stay under glibc's heap trim threshold and are reused from block to block
+rather than returned to the operating system.  A batch has one layout from
+draw to disk: the pair ``(ids, values)`` of its int64 ``sample_id``s and an
+``(n, 15)`` float array whose columns are the CSV fields after
+``sample_id``, in file order.
 
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by the same two arrays: each :class:`SweepRecord` is built
@@ -68,7 +67,7 @@ from .errors import (
 )
 from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
-from .twoqubit import _concurrence_from_s, _ppt_det_stack, _wootters_stack, concurrence
+from .twoqubit import _concurrence_stack, concurrence
 
 CSV_HEADER = (
     "sample_id,pump_p,t,theta1,theta2,alpha1,alpha2,mu,gamma0,"
@@ -107,18 +106,12 @@ SATURATING_SETTING = {
 _BLOCKS_PER_SAMPLE = 2
 # fixed evaluation batch; must not depend on the worker count
 _BATCH = 2048
-# rows of a batch that the Wootters kernel and the renderer take at a time:
+# rows of a batch that the concurrence kernel and the renderer take at a time:
 # a block's temporaries (at most 1.4 MiB) stay under glibc's heap trim
 # threshold, so the heap keeps them from block to block instead of giving a
 # whole batch's 4 MiB back to the operating system after each one and
 # faulting it in again for the next
 _BLOCK_ROWS = 1024
-# a row whose det rho^{T_B} is above this has a positive partial transpose,
-# so it is separable and its concurrence is +0.0 with no Wootters kernel
-# call.  The determinant is a sum of 24 products of four entries of
-# rho^{T_B}, each of modulus at most 1 and computed within a few ulps, so
-# rounding moves it by less than 24 * 6e-15 < 2e-13.
-_PPT_ABOVE = 1e-12
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
@@ -272,13 +265,6 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     budget (a NaN entry breaks it), and the spectrum rules.  A state that
     fails raises InvalidDensityMatrixError or InvalidSpectrumError naming
     its ``sample_id``.
-
-    A two-qubit state is separable exactly when the partial transpose on
-    its second photon, ``rho^{T_B}``, has a nonnegative determinant, so a
-    row whose :func:`~pumplimit.twoqubit._ppt_det_stack` is above
-    ``_PPT_ABOVE`` has concurrence +0.0, the value the kernel gives it too;
-    the kernel runs on the other rows only.  Both take the batch
-    ``_BLOCK_ROWS`` rows at a time.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
@@ -295,9 +281,7 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     conc = np.zeros(len(g))
     # the kernel's (n, 4, 4) complex temporaries are a batch's largest
     for lo in range(0, len(g), _BLOCK_ROWS):
-        block = g[lo : lo + _BLOCK_ROWS]
-        rows = np.flatnonzero(_ppt_det_stack(block) <= _PPT_ABOVE)
-        conc[lo + rows] = _concurrence_from_s(*_wootters_stack(block[rows]).T)
+        conc[lo : lo + _BLOCK_ROWS] = _concurrence_stack(g[lo : lo + _BLOCK_ROWS])
     values = np.column_stack((settings, conc, (1.0 + pump_p) / 2.0, pump_p, spectra))
     return np.arange(start, stop, dtype=np.int64), values
 
@@ -631,14 +615,18 @@ def sweep_to_csv(cfg: SweepConfig, path) -> BoundReport:
     symlink points to), which replaces it only once the sweep has finished;
     if the sweep raises, the temporary file is removed and whatever was at
     ``path`` is left as it was.  A ``path`` that exists but is not a regular
-    file, such as ``/dev/null`` or a pipe, is written in place.
+    file, such as ``/dev/null`` or a pipe, is written in place.  An OSError
+    from creating the temporary file names ``path``.
     """
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as handle:
             return _write_csv(cfg, handle)
     temporary = f"{path}.{os.urandom(4).hex()}.tmp"
-    handle = open(temporary, "xb")
+    try:
+        handle = open(temporary, "xb")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(given)) from None
     try:
         with handle:
             report = _write_csv(cfg, handle)

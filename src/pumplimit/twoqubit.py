@@ -5,16 +5,13 @@ H -> 0, V -> 1 for each photon.  Concurrence is computed from a factor
 ``G`` of the state, ``rho = G G^dag``: the s-values of the spin-flip
 construction are the singular values of ``G^T (sy x sy) G`` (Wootters,
 PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)), so no square root of
-a noisy eigenvalue is ever taken.  :func:`_wootters_stack` is the one kernel
-and checks nothing: the sweep hands it the source's gated closed-form factor;
-a state from outside is factored as ``V sqrt(w)`` from the ``eigh`` that its
-density-matrix check computes anyway.  The sweep calls the kernel only on
-rows that may be entangled: :func:`_ppt_det_stack` gives ``det rho^{T_B}``
-of the partial transpose on the second photon from ``G`` in closed form,
-and a two-qubit state is entangled exactly when it is negative (Peres, PRL
-77, 1413 (1996); Augusiak, Demianowicz and Horodecki, PRA 77, 030301(R)
-(2008)), so a row whose determinant is clearly positive has concurrence 0
-without an SVD.
+a noisy eigenvalue is ever taken.  :func:`_concurrence_stack` is the one
+kernel for a stack and checks nothing: the sweep hands it the source's gated
+closed-form factor; a state from outside is factored as ``V sqrt(w)`` from
+the ``eigh`` that its density-matrix check computes anyway.  It skips the
+SVD on states with a positive partial transpose, which are separable
+(:func:`_ppt_det_stack`); :func:`concurrence` does not test a lone state,
+on which the test costs more than the SVD it would save.
 
 Also provided: the spectrum-level maximum of concurrence over global
 unitaries, a constructor for a state that attains it, and the 2x2-block
@@ -49,6 +46,12 @@ TWO_D_TOL = 1e-10
 _FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 #: eigenvalues at or below this multiple of the largest are a rank-deficient state's rounding noise
 _NOISE_FLOOR = 4.0 * np.finfo(float).eps
+# a state whose det rho^{T_B} is above this has a positive partial transpose,
+# so it is separable and its concurrence is +0.0 with no SVD.  The
+# determinant is a sum of 24 products of four entries of rho^{T_B}, each of
+# modulus at most 1 and computed within a few ulps, so rounding moves it by
+# less than 24 * 6e-15 < 2e-13.
+_PPT_ABOVE = 1e-12
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -77,7 +80,9 @@ def _ppt_det_stack(g: np.ndarray) -> np.ndarray:
 
     ``T_B`` is the partial transpose on the second photon.  A two-qubit
     state's partial transpose has at most one negative eigenvalue, so the
-    state is entangled exactly when this determinant is negative.  Shape
+    state is entangled exactly when this determinant is negative (Peres,
+    PRL 77, 1413 (1996); Augusiak, Demianowicz and Horodecki, PRA 77,
+    030301(R) (2008)).  Shape
     ``(n, 4, 4) -> (n,)``, computed elementwise with no LAPACK call: the ten
     entries ``rho_ij``, ``i <= j``, as sums over the rows of G, placed by the
     partial transpose, then Laplace's expansion in 2x2 minors.  Callers pass
@@ -128,6 +133,20 @@ def _concurrence_from_s(s1, s2, s3, s4):
     return np.maximum(0.0, s1 - s2 - s3 - s4)
 
 
+def _concurrence_stack(g: np.ndarray) -> np.ndarray:
+    """Concurrence of the states ``G G^dag`` for factors ``(..., 4, 4) -> (...)``.
+
+    A state whose ``det rho^{T_B}`` is above ``_PPT_ABOVE`` is separable and
+    gets +0.0, as from :func:`_wootters_stack`, without it.  A lone factor
+    gives a numpy float.  Callers pass factors of states already checked.
+    """
+    flat = g.reshape(-1, 4, 4)
+    conc = np.zeros(len(flat))
+    rows = np.flatnonzero(_ppt_det_stack(flat) <= _PPT_ABOVE)
+    conc[rows] = _concurrence_from_s(*_wootters_stack(flat[rows]).T)
+    return conc.reshape(g.shape[:-2])[()]
+
+
 def concurrence(rho) -> float:
     """Concurrence of a two-qubit state: ``max(0, s1 - s2 - s3 - s4)``.
 
@@ -144,7 +163,7 @@ def concurrence_many(rhos) -> np.ndarray:
     Vectorized equivalent of :func:`concurrence`, with the same per-state
     checks.
     """
-    return _concurrence_from_s(*np.moveaxis(_wootters_stack(_factor(rhos)), -1, 0))
+    return _concurrence_stack(_factor(rhos))
 
 
 def _orbit_stack(w: np.ndarray) -> np.ndarray:

@@ -302,6 +302,14 @@ def test_channel_verify_names_the_malformed_file(capsys, tmp_path):
     assert str(cpath) not in err and "Traceback" not in err
 
 
+def test_sweep_into_a_missing_directory_names_the_requested_path(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--n", "5", "--seed", "1", "--mode", "general", "--out", str(out))
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert ".tmp" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 1
     assert run_cli(capsys)[0] == 1

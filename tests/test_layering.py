@@ -89,6 +89,28 @@ def test_only_check_states_calls_the_eigensolvers():
     assert owners == {"linalg.check_states"}
 
 
+#: the stack concurrence kernel's separability skip, which only ``twoqubit`` may name
+SKIP_NAMES = {"_ppt_det_stack", "_wootters_stack", "_PPT_ABOVE"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier, attribute and imported name in a file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_only_twoqubit_names_the_separability_skip():
+    namers = {path.stem for path in PACKAGE.glob("*.py") if _names(path) & SKIP_NAMES}
+    assert namers == {"twoqubit"}
+
+
 def test_public_names_match_the_imports():
     public = pumplimit.__all__
     assert len(public) == len(set(public))

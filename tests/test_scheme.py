@@ -17,8 +17,8 @@ from pumplimit import (
 from pumplimit.errors import NotPSDError
 from pumplimit.linalg import dagger
 from pumplimit.scheme import _density_stack, _spectrum_stack, _validate_built
-from pumplimit.sweep import _PPT_ABOVE, COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
-from pumplimit.twoqubit import _concurrence_from_s, _ppt_det_stack, _wootters_stack
+from pumplimit.sweep import COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
+from pumplimit.twoqubit import _PPT_ABOVE, _concurrence_from_s, _ppt_det_stack, _wootters_stack
 from oracles import (
     density_elements,
     partial_transpose_second,

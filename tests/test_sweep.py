@@ -15,6 +15,7 @@ import pytest
 
 import pumplimit.scheme
 import pumplimit.sweep
+import pumplimit.twoqubit
 from pumplimit import (
     BadConfigError,
     BadParameterError,
@@ -38,7 +39,6 @@ from pumplimit import (
 from pumplimit.sweep import (
     _BATCH,
     _BLOCK_ROWS,
-    _PPT_ABOVE,
     _VALUE_FIELDS,
     COLUMNS,
     CSV_HEADER,
@@ -50,7 +50,7 @@ from pumplimit.sweep import (
     _ordered_map,
     _render_csv,
 )
-from pumplimit.twoqubit import _concurrence_from_s, _orbit_stack, _ppt_det_stack, _wootters_stack
+from pumplimit.twoqubit import _PPT_ABOVE, _concurrence_from_s, _orbit_stack, _ppt_det_stack, _wootters_stack
 
 
 @pytest.mark.parametrize(
@@ -525,7 +525,7 @@ def test_kernel_skips_exactly_the_rows_whose_partial_transpose_is_positive(monke
         kernel_rows.append(len(g))
         return _wootters_stack(g)
 
-    monkeypatch.setattr(pumplimit.sweep, "_wootters_stack", counted)
+    monkeypatch.setattr(pumplimit.twoqubit, "_wootters_stack", counted)
     _, values = _evaluate(cfg, 0, _BATCH)
     conc = values[:, _VALUE_FIELDS.index("concurrence")]
     assert conc.tobytes() == full.tobytes()  # bit for bit, signs of zeros included

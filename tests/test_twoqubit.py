@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pumplimit.twoqubit
 from pumplimit import (
     InvalidSpectrumError,
     NotTwoDError,
@@ -13,6 +14,14 @@ from pumplimit import (
     unitary_max_concurrence,
     wootters_spectrum,
 )
+from pumplimit.twoqubit import (
+    _PPT_ABOVE,
+    _concurrence_from_s,
+    _concurrence_stack,
+    _factor,
+    _ppt_det_stack,
+    _wootters_stack,
+)
 from oracles import (
     basis_projector,
     bell_phi,
@@ -21,6 +30,7 @@ from oracles import (
     random_density,
     random_spectrum,
     random_unitary,
+    random_unitary_stack,
     spin_flip_reference,
     werner,
 )
@@ -93,6 +103,50 @@ def test_concurrence_many_matches_scalar():
     many = concurrence_many(rhos)
     singles = np.array([concurrence(r) for r in rhos])
     np.testing.assert_allclose(many, singles, atol=1e-14)
+
+
+def _kernel_stack(kind):
+    """Factors of a seeded stack of states: random, on unitary orbits (as in criterion 4) or I/4."""
+    rng = np.random.default_rng(35)
+    if kind == "random":
+        rhos = np.stack([random_density(rng, 4) for _ in range(256)])
+    elif kind == "orbits":
+        us = random_unitary_stack(rng, 50, 4)
+        rhos = np.stack([us @ np.diag(random_spectrum(rng)) @ us.conj().swapaxes(-1, -2) for _ in range(6)])
+    else:
+        rhos = np.tile(np.eye(4) / 4.0, (8, 1, 1))
+    return _factor(rhos)
+
+
+@pytest.mark.parametrize("kind", ["random", "orbits", "separable"])
+def test_stack_kernel_runs_the_svd_on_exactly_the_rows_that_may_be_entangled(monkeypatch, kind):
+    g = _kernel_stack(kind)
+    every_row = _concurrence_from_s(*np.moveaxis(_wootters_stack(g), -1, 0))
+    may_be_entangled = _ppt_det_stack(g.reshape(-1, 4, 4)) <= _PPT_ABOVE
+    seen = []
+
+    def counted(g):
+        seen.append(g.shape)
+        return _wootters_stack(g)
+
+    monkeypatch.setattr(pumplimit.twoqubit, "_wootters_stack", counted)
+    conc = _concurrence_stack(g)
+    assert conc.shape == every_row.shape == g.shape[:-2]
+    assert conc.tobytes() == every_row.tobytes()  # bit for bit, signs of zeros included
+    assert seen == [(np.count_nonzero(may_be_entangled), 4, 4)]
+    if kind == "random":
+        assert 0 < np.count_nonzero(may_be_entangled) < len(g)
+    elif kind == "separable":
+        assert seen == [(0, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), ()])
+def test_stack_kernel_keeps_the_stack_shape(shape):
+    g = np.broadcast_to(_factor(bell_phi()), shape + (4, 4))
+    conc = _concurrence_stack(g)
+    assert conc.shape == shape
+    assert isinstance(conc, np.ndarray) == (shape != ())  # a lone state's is a numpy float
+    np.testing.assert_allclose(conc, 1.0, atol=1e-12)
 
 
 def test_wootters_spectrum_bell():
