@@ -33,15 +33,13 @@ class KrausChannel:
 
     Validity (trace preservation, unitality) is checked by
     :func:`validate_doubly_stochastic`, never assumed.  Operators are stored
-    once, as the read-only rows of ``stack``; the channel's natural
+    once, as the read-only rows of one array; the channel's natural
     representation, which :func:`apply_channel` uses, is formed once beside
     them as the read-only ``superoperator``.
     """
 
     operators: tuple
     labels: tuple | None = None
-    #: the operators stacked into one (k, 4, 4) array
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
     #: ``sum_k M_k (x) conj(M_k)``, shape (16, 16): it maps the row-major
     #: ``vec(rho)`` to ``vec(sum_k M_k rho M_k^dag)``
     superoperator: np.ndarray = field(init=False, repr=False, compare=False)
@@ -54,7 +52,6 @@ class KrausChannel:
         superoperator = np.einsum("mik,mjl->ijkl", stack, stack.conj()).reshape(16, 16)
         stack.setflags(write=False)
         superoperator.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "superoperator", superoperator)
         object.__setattr__(self, "operators", tuple(stack))
         if self.labels is not None:

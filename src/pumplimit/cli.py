@@ -198,10 +198,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except PumpLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PumpLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,9 @@ source's closed-form factor ``G`` (the arm maps times Cholesky factors of
 the pump moments <E_H E_H*> = <E_V E_V*> = 1/2, <E_H* E_V> = P/2 and of the
 inter-arm phase moments), while :func:`build_density_matrix_oracle` derives
 every moment from the arm transformation matrices and the pump coherency
-matrix.  Both builders pass every state through one physicality gate that
-raises and never repairs.  The sweep forms no state: it takes the spectra
+matrix.  The factor ``G`` passes :func:`_validate_built`, which the sweep
+shares, and the oracle's state the full density-matrix rules; both gates
+raise and never repair.  The sweep forms no state: it takes the spectra
 from :func:`_spectrum_stack`, a closed form that holds because ``rho`` is
 unitarily equivalent to the Kronecker product of the arms' and the pump's
 moment matrices, and hands ``G`` itself to the Wootters kernel.
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameterError, InvalidDensityMatrixError
-from .linalg import _is_bool, as_matrix, check_states, dagger
+from .errors import BadParameterError
+from .linalg import _is_bool, _trace_rule, as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
 
 PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pump_p")
@@ -194,27 +195,27 @@ def _spectrum_stack(pump_p, t, mu) -> np.ndarray:
     )
 
 
-def _validate_built(rho: np.ndarray, origin: str) -> None:
-    """Physicality gate for a stack of built states."""
-    try:
-        check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
-    except InvalidDensityMatrixError as exc:
-        failure = type(exc)(f"{origin}: {exc}")
-        failure.index = exc.index
-        raise failure from exc
+def _validate_built(g: np.ndarray) -> None:
+    """Physicality gate for a stack of factors ``G``, shape ``(..., 4, 4)``.
+
+    ``G G^dag`` is Hermitian and PSD for any ``G``, so only the trace rule
+    is left: ``tr G G^dag = ||G||_F^2`` within BUILT_TRACE_TOL, which a NaN
+    or infinite entry breaks.  Raises InvalidDensityMatrixError with the
+    ``index`` of the first failing factor.
+    """
+    entries = g.reshape(g.shape[:-2] + (16,)).view(np.float64)  # real and imaginary parts
+    _trace_rule(np.einsum("...i,...i->...", entries, entries), BUILT_TRACE_TOL)
 
 
 def build_density_matrix(params: SchemeParams) -> np.ndarray:
     """Pair state for one parameter setting, ``G G^dag`` of the source's factor.
 
-    ``G`` is the closed-form factor of :func:`_density_stack`.  The
-    assembled matrix is validated (unit trace within 1e-12, eigenvalues
-    above -1e-10); a violation raises rather than being projected away.
+    ``G`` is the closed-form factor of :func:`_density_stack`; a factor
+    that fails :func:`_validate_built` raises rather than being repaired.
     """
     g = _density_stack(**vars(params))
-    rho = g @ dagger(g)
-    _validate_built(rho, "build_density_matrix")
-    return rho
+    _validate_built(g)
+    return g @ dagger(g)
 
 
 def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
@@ -238,5 +239,5 @@ def build_density_matrix_oracle(params: SchemeParams, pump=None) -> np.ndarray:
     arms = np.concatenate((transform_fields(params, 1), transform_fields(params, 2)))[_BORN_FROM]
     coh = params.mu * cmath.exp(1j * params.gamma0)
     rho = (arms @ j @ dagger(arms)) * np.array((1.0, coh.conjugate(), coh))[_CROSS_ARM]
-    _validate_built(rho, "build_density_matrix_oracle")
+    check_states(rho, dims=(4,), trace_tol=BUILT_TRACE_TOL)
     return rho

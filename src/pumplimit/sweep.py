@@ -65,7 +65,7 @@ from .errors import (
     InvalidSpectrumError,
     _not_ascii,
 )
-from .linalg import _check_seed, _is_bool, _is_int, _trace_rule, validate_spectrum
+from .linalg import _check_seed, _is_bool, _is_int, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_stack, concurrence
 
@@ -259,20 +259,17 @@ def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.n
     ``values`` holds the settings, the concurrence, both bounds and the
     spectrum in CSV column order.  The states ``rho = G G^dag`` are never
     formed: the spectra come in closed form from the settings, and the
-    concurrence from ``G``.  The source's gate checks what a product
-    ``G G^dag`` leaves open, since it is Hermitian and PSD for any ``G``:
-    the trace rule on ``tr G G^dag = ||G||_F^2`` with the builders' 1e-12
-    budget (a NaN entry breaks it), and the spectrum rules.  A state that
-    fails raises InvalidDensityMatrixError or InvalidSpectrumError naming
-    its ``sample_id``.
+    concurrence from ``G``.  ``G`` passes the source's factor gate and the
+    spectra the spectrum rules; a state that fails raises
+    InvalidDensityMatrixError or InvalidSpectrumError naming its
+    ``sample_id``.
     """
     settings = _draw_columns(cfg, start, stop)
     pump_p = settings[:, _P]
     g = scheme._density_stack(*settings.T)
     spectra = scheme._spectrum_stack(pump_p, settings[:, _T], settings[:, _MU])
-    entries = g.reshape(len(g), 16).view(np.float64)  # real and imaginary parts
     try:
-        _trace_rule(np.einsum("ij,ij->i", entries, entries), scheme.BUILT_TRACE_TOL)
+        scheme._validate_built(g)
         validate_spectrum(spectra)
     except (InvalidDensityMatrixError, InvalidSpectrumError) as exc:
         failure = type(exc)(f"sweep: sample_id={start + exc.index}: {exc}")
@@ -650,8 +647,7 @@ def _write_csv(cfg: SweepConfig, handle) -> BoundReport:
 def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
     """The values ``_accumulate`` reads, at most _BATCH records at a time.
 
-    Plain records are packed into the settings-and-concurrence prefix of
-    the values layout.
+    Plain records are packed into SweepRecords, whose rows are checked.
     """
     if isinstance(records, SweepRecords):
         for lo in range(0, len(records), _BATCH):
@@ -659,7 +655,12 @@ def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
         return
     records = iter(records)
     while chunk := list(islice(records, _BATCH)):
-        yield np.array([[getattr(r.params, n) for n in COLUMNS] + [r.concurrence] for r in chunk])
+        ids = np.array([r.sample_id for r in chunk], dtype=np.int64)
+        values = np.array([
+            [*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *r.spectrum]
+            for r in chunk
+        ])
+        yield SweepRecords((ids, values))._values
 
 
 def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:

@@ -199,8 +199,6 @@ def test_channel_operators_are_read_only():
     with pytest.raises(ValueError):
         ch.operators[0][0, 0] = 2.0
     with pytest.raises(ValueError):
-        ch.stack[0, 0, 1] = 2.0
-    with pytest.raises(ValueError):
         ch.superoperator[0, 1] = 2.0
     np.testing.assert_array_equal(ch.superoperator, np.kron(op, op.conj()))
 

@@ -111,6 +111,12 @@ def test_only_twoqubit_names_the_separability_skip():
     assert namers == {"twoqubit"}
 
 
+def test_only_scheme_and_linalg_name_the_factor_gates_rule():
+    """The factor gate's budget and trace rule stay out of the sweep."""
+    assert {path.stem for path in PACKAGE.glob("*.py") if "BUILT_TRACE_TOL" in _names(path)} == {"scheme"}
+    assert {path.stem for path in PACKAGE.glob("*.py") if "_trace_rule" in _names(path)} == {"linalg", "scheme"}
+
+
 def test_public_names_match_the_imports():
     public = pumplimit.__all__
     assert len(public) == len(set(public))

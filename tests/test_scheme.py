@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pumplimit.scheme
 from pumplimit import (
     BadParameterError,
     SchemeParams,
@@ -14,7 +15,7 @@ from pumplimit import (
     is_two_d,
     transform_fields,
 )
-from pumplimit.errors import NotPSDError
+from pumplimit.errors import InvalidDensityMatrixError, NotPSDError
 from pumplimit.linalg import dagger
 from pumplimit.scheme import _density_stack, _spectrum_stack, _validate_built
 from pumplimit.sweep import COLUMNS, SweepConfig, _draw_columns, _evaluate, saturating_config
@@ -150,14 +151,63 @@ def test_built_states_are_physical():
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
+def _factors(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.array([_density_stack(**vars(random_params(rng))) for _ in range(n)])
+
+
 def test_built_state_gate_keeps_failing_position():
-    stack = np.tile(np.eye(4, dtype=complex) / 4.0, (5, 1, 1))
-    stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(NotPSDError, match="^origin: negative eigenvalue") as info:
-        _validate_built(stack, "origin")
+    stack = _factors(53, 5)
+    _validate_built(stack)
+    stack[3] *= 2.0
+    with pytest.raises(InvalidDensityMatrixError, match="^trace 4 is not 1") as info:
+        _validate_built(stack)
     assert info.value.index == 3
-    rng = np.random.default_rng(53)
-    _validate_built(np.array([build_density_matrix(random_params(rng)) for _ in range(5)]), "origin")
+    stack = _factors(53, 5)
+    stack[2, 1, 3] = complex(0.0, np.nan)
+    with pytest.raises(InvalidDensityMatrixError, match="^trace nan is not 1") as info:
+        _validate_built(stack)
+    assert info.value.index == 2
+    with pytest.raises(InvalidDensityMatrixError, match="^trace 4 is not 1") as info:
+        _validate_built(np.eye(4, dtype=complex))
+    assert info.value.index == 0
+
+
+def test_factor_gate_takes_stacks_of_any_leading_shape():
+    stack = _factors(57, 6).reshape(2, 3, 4, 4)
+    _validate_built(stack)
+    stack[1, 2, 0, 0] = np.inf
+    with pytest.raises(InvalidDensityMatrixError, match="^trace inf is not 1") as info:
+        _validate_built(stack)
+    assert info.value.index == 5
+
+
+def test_builder_gates_its_factor_once_and_runs_no_eigensolver(monkeypatch):
+    seen = []
+    gate = pumplimit.scheme._validate_built
+    monkeypatch.setattr(pumplimit.scheme, "_validate_built", lambda g: seen.append(g.copy()) or gate(g))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    p = params_with()
+    rho = build_density_matrix(p)
+    g = _density_stack(**vars(p))
+    assert len(seen) == 1 and seen[0].tobytes() == g.tobytes()
+    assert rho.tobytes() == (g @ dagger(g)).tobytes()
+
+
+def test_oracle_refuses_a_planted_bad_state(monkeypatch):
+    arms = pumplimit.scheme.transform_fields
+    monkeypatch.setattr(pumplimit.scheme, "transform_fields", lambda params, arm: 2.0 * arms(params, arm))
+    with pytest.raises(InvalidDensityMatrixError, match="^trace 4 is not 1"):
+        build_density_matrix_oracle(params_with())
+    monkeypatch.undo()
+    monkeypatch.setattr(pumplimit.scheme, "canonical_pump", lambda p: np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(NotPSDError, match="^negative eigenvalue"):
+        build_density_matrix_oracle(params_with())
 
 
 def test_general_bound_over_random_settings():

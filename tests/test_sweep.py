@@ -289,6 +289,32 @@ def test_verify_bounds_applies_two_d_bound_only_at_full_transmission():
     assert verify_bounds([two_d]).violations == 1
 
 
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        (dict(concurrence=-1.0), BadParameterError, "concurrence -1.0 is negative"),
+        (dict(spectrum=np.array([0.1, 0.9, 0.0, 0.0])), InvalidSpectrumError, "values are not sorted"),
+    ],
+    ids=["negative_concurrence", "unsorted_spectrum"],
+)
+def test_verify_bounds_checks_plain_records(change, error, match):
+    records = list(run_sweep(SweepConfig(n_samples=_BATCH + 10, seed=14)))
+    sample_id = _BATCH + 3
+    records[sample_id] = dataclasses.replace(records[sample_id], **change)
+    with pytest.raises(error, match=f"^sample_id={sample_id}: {match}"):
+        verify_bounds(iter(records))
+    lone = SweepRecord(
+        sample_id=7,
+        params=SchemeParams(**dict(zip(COLUMNS, [0.5] * len(COLUMNS)))),
+        concurrence=0.2,
+        bound_general=0.75,
+        bound_2d=0.5,
+        spectrum=np.array([0.9, 0.1, 0.0, 0.0]),
+    )
+    with pytest.raises(error, match=f"^sample_id=7: {match}"):
+        verify_bounds([dataclasses.replace(lone, **change)])
+
+
 def test_sweep_has_no_violations_in_either_mode(tmp_path):
     for mode in ("general", "two_d"):
         cfg = SweepConfig(n_samples=5000, seed=31, mode=mode)
