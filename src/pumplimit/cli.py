@@ -26,7 +26,7 @@ from .serialize import (
     params_to_json,
     save_matrix,
 )
-from .sweep import BOUND_TOL, SweepConfig, saturating_config, sweep_to_csv, verify_csv
+from .sweep import BOUND_TOL, MODES, SweepConfig, saturating_config, sweep_to_csv, verify_csv
 from .twoqubit import _concurrence_from_s, concurrence, wootters_spectrum
 
 
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte Carlo sweep to CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=("general", "two_d"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="threads in one process; the CSV bytes do not depend on it")
     p.add_argument("--out", required=True, metavar="RESULTS.csv")

@@ -70,6 +70,13 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def _as_float(value) -> float:
+    """``float(value)``; a bool, which float() would read as 0.0 or 1.0, raises TypeError."""
+    if _is_bool(value):
+        raise TypeError(f"a bool is not a number: {value!r}")
+    return float(value)
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer and not a bool."""
     return isinstance(value, (int, np.integer)) and not _is_bool(value)
@@ -107,28 +114,20 @@ def random_haar_unitary(dim: int, seed: int) -> np.ndarray:
     return haar_unitary(dim, generator_from_seed(seed))
 
 
-def phase_fixed(v) -> np.ndarray:
-    """Rescale a vector's global phase so its largest entry is real >= 0."""
-    v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    mag = abs(v[k])
-    if mag == 0.0:
-        return v.copy()
-    return v * (np.conj(v[k]) / mag)
-
-
 def polarized_part(w, v) -> tuple[float, np.ndarray]:
     """Split a 2x2 state into ``p |psi><psi| + (1 - p) I/2``.
 
     ``(w, v)`` is the state's ``eigh``, eigenvalues ascending.  ``p`` is the
-    eigenvalue gap clipped to [0, 1] and ``psi`` the top eigenvector with
-    its phase fixed; below ``_DEGENERATE_P`` the direction is arbitrary and
-    (1, 0) is returned by convention.
+    eigenvalue gap clipped to [0, 1] and ``psi`` the top eigenvector, phased
+    so that its largest entry is real and positive; below ``_DEGENERATE_P``
+    the direction is arbitrary and (1, 0) is returned by convention.
     """
     p = float(min(max(w[1] - w[0], 0.0), 1.0))
     if p < _DEGENERATE_P:
         return p, np.array([1.0, 0.0], dtype=complex)
-    return p, phase_fixed(v[:, 1])
+    psi = v[:, 1]
+    k = int(np.argmax(np.abs(psi)))
+    return p, psi * (np.conj(psi[k]) / abs(psi[k]))
 
 
 def check_states(

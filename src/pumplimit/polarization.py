@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .linalg import _is_bool, as_matrix, check_states, polarized_part
+from .linalg import _as_float, as_matrix, check_states, polarized_part
 
 J_HERMITIAN_TOL = 1e-12
 J_TRACE_TOL = 1e-12
@@ -35,9 +35,7 @@ def canonical_pump(p: float) -> np.ndarray:
     the closed-form factor of the source simulator.
     """
     try:
-        if _is_bool(p):  # float() would read True as 1.0
-            raise TypeError
-        p = float(p)
+        p = _as_float(p)
     except (TypeError, ValueError):
         raise BadParameterError(f"degree of polarization must be a number, got {p!r}") from None
     if not 0.0 <= p <= 1.0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .linalg import _is_bool, _trace_rule, as_matrix, check_states, dagger
+from .linalg import _as_float, _trace_rule, as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
 
 PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pump_p")
@@ -76,9 +76,7 @@ class SchemeParams:
             value = fields[name]
             if type(value) is not float:  # a float is kept as it is
                 try:
-                    if _is_bool(value):  # float() would read True as 1.0
-                        raise TypeError
-                    value = fields[name] = float(value)
+                    value = fields[name] = _as_float(value)
                 except (TypeError, ValueError):
                     raise BadParameterError(f"{name} must be a number, got {value!r}") from None
             if not math.isfinite(value):

@@ -65,7 +65,7 @@ from .errors import (
     InvalidSpectrumError,
     _not_ascii,
 )
-from .linalg import _check_seed, _is_bool, _is_int, validate_spectrum
+from .linalg import _as_float, _check_seed, _is_int, validate_spectrum
 from .scheme import _UNIT_INTERVAL, SchemeParams
 from .twoqubit import _concurrence_stack, concurrence
 
@@ -127,10 +127,10 @@ _UNIT_INDEX = [_VALUE_FIELDS.index(name) for name in _UNIT_INTERVAL]
 class SweepConfig:
     """Sweep settings: sample count, seed, mode, ranges, parallelism.
 
-    ``two_d`` mode pins the beam splitter at t = 1 so that every generated
-    state is confined to the |HH>, |VV> block.  ``param_ranges`` entries
-    override :data:`DEFAULT_RANGES` per parameter and are kept as the
-    checked ``(lo, hi)`` float pairs that the draws use.
+    ``param_ranges`` entries override :data:`DEFAULT_RANGES` per parameter
+    and are kept as checked ``(lo, hi)`` float pairs.  ``two_d`` mode is the
+    range t in [1, 1], which confines every state to the |HH>, |VV> block;
+    :meth:`ranges` reports the ranges that the draws use.
     """
 
     n_samples: int
@@ -156,10 +156,7 @@ class SweepConfig:
             if isinstance(bounds, (str, bytes)):
                 raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair, got {bounds!r}")
             try:
-                lo, hi = bounds
-                if _is_bool(lo) or _is_bool(hi):  # float() would read True as 1.0
-                    raise TypeError
-                lo, hi = float(lo), float(hi)
+                lo, hi = map(_as_float, bounds)
             except (TypeError, ValueError) as exc:
                 raise BadConfigError(f"range for {name!r} must be a (lo, hi) pair of numbers") from exc
             if not math.isfinite(hi - lo) or lo > hi:
@@ -171,8 +168,10 @@ class SweepConfig:
             object.__setattr__(self, "param_ranges", checked)
 
     def ranges(self) -> dict:
-        merged = dict(DEFAULT_RANGES)
-        merged.update(self.param_ranges or {})
+        """The ``(lo, hi)`` range that the draws use for every column."""
+        merged = {**DEFAULT_RANGES, **(self.param_ranges or {})}
+        if self.mode == "two_d":
+            merged["t"] = (1.0, 1.0)
         return merged
 
 
@@ -238,19 +237,16 @@ def _describe(a) -> str:
 
 
 def _draw_columns(cfg: SweepConfig, start: int, stop: int) -> np.ndarray:
-    """Uniform draws for samples [start, stop); shape (stop-start, 8).
+    """Uniform draws over ``cfg.ranges()`` for samples [start, stop); shape (stop-start, 8).
 
-    In ``two_d`` mode the t column is drawn and then pinned to 1, keeping
-    the per-sample counter layout identical across modes.
+    Every mode draws every column, so the per-sample counter layout is the
+    same; ``two_d``'s t range [1, 1] gives exactly ``1.0 + 0.0 * u = 1``.
     """
     bits = np.random.Philox(key=int(cfg.seed), counter=start * _BLOCKS_PER_SAMPLE)
     u = np.random.Generator(bits).random((stop - start, len(COLUMNS)))
     ranges = cfg.ranges()
     lo, hi = np.array([ranges[name] for name in COLUMNS]).T
-    out = lo + (hi - lo) * u
-    if cfg.mode == "two_d":
-        out[:, COLUMNS.index("t")] = 1.0
-    return out
+    return lo + (hi - lo) * u
 
 
 def _evaluate(cfg: SweepConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -656,11 +652,12 @@ def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
     records = iter(records)
     while chunk := list(islice(records, _BATCH)):
         ids = np.array([r.sample_id for r in chunk], dtype=np.int64)
-        values = np.array([
-            [*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *r.spectrum]
-            for r in chunk
-        ])
-        yield SweepRecords((ids, values))._values
+        rows = []
+        for r in chunk:
+            if len(spectrum := np.ravel(r.spectrum)) != 4:  # a ragged row names no sample
+                raise InvalidSpectrumError(f"sample_id={r.sample_id}: expected 4 values, got {len(spectrum)}")
+            rows.append([*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *spectrum])
+        yield SweepRecords((ids, np.array(rows)))._values
 
 
 def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
@@ -815,6 +812,6 @@ def saturating_config(pump_p: float) -> tuple[SchemeParams, float]:
     alpha2 = pi, mu = 1, gamma0 = 0 and evaluates its concurrence, which
     comes out at (1 + P)/2; the value is computed, never assumed.
     """
-    params = SchemeParams(pump_p=float(pump_p), **SATURATING_SETTING)
+    params = SchemeParams(pump_p=pump_p, **SATURATING_SETTING)
     rho = scheme.build_density_matrix(params)
     return params, concurrence(rho)

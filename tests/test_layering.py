@@ -117,6 +117,18 @@ def test_only_scheme_and_linalg_name_the_factor_gates_rule():
     assert {path.stem for path in PACKAGE.glob("*.py") if "_trace_rule" in _names(path)} == {"linalg", "scheme"}
 
 
+def _strings(path: Path) -> set[str]:
+    """Every string constant in a file."""
+    nodes = ast.walk(ast.parse(path.read_text()))
+    return {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_one_module_owns_each_settings_rule():
+    """The bool rule for numbers lives in ``linalg``; the sweep's modes live in ``sweep`` (``cli`` reads ``MODES``)."""
+    assert {path.stem for path in PACKAGE.glob("*.py") if "_is_bool" in _names(path)} == {"linalg"}
+    assert {path.stem for path in PACKAGE.glob("*.py") if "two_d" in _strings(path)} == {"sweep"}
+
+
 def test_public_names_match_the_imports():
     public = pumplimit.__all__
     assert len(public) == len(set(public))

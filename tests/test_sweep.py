@@ -123,6 +123,15 @@ def test_two_d_mode_pins_t_and_stays_two_level():
         assert is_two_d(build_density_matrix(r.params), tol=1e-9)
 
 
+def test_two_d_mode_is_the_t_range_it_draws_from():
+    cfg = SweepConfig(n_samples=1, seed=0, mode="two_d", param_ranges={"t": (0.2, 0.3)})
+    assert cfg.ranges()["t"] == (1.0, 1.0)
+    pinned = SweepConfig(n_samples=_BATCH, seed=5, param_ranges={"t": (1.0, 1.0)})
+    two_d = dataclasses.replace(pinned, mode="two_d", param_ranges=None)
+    assert two_d.ranges() == pinned.ranges()
+    assert np.array_equal(_draw_columns(two_d, 0, _BATCH), _draw_columns(pinned, 0, _BATCH))
+
+
 def test_sweep_respects_custom_ranges():
     cfg = SweepConfig(n_samples=100, seed=3, param_ranges={"pump_p": (0.4, 0.6), "mu": (1.0, 1.0)})
     for r in run_sweep(cfg):
@@ -294,8 +303,9 @@ def test_verify_bounds_applies_two_d_bound_only_at_full_transmission():
     [
         (dict(concurrence=-1.0), BadParameterError, "concurrence -1.0 is negative"),
         (dict(spectrum=np.array([0.1, 0.9, 0.0, 0.0])), InvalidSpectrumError, "values are not sorted"),
+        (dict(spectrum=np.array([0.9, 0.1, 0.0])), InvalidSpectrumError, "expected 4 values, got 3"),
     ],
-    ids=["negative_concurrence", "unsorted_spectrum"],
+    ids=["negative_concurrence", "unsorted_spectrum", "three_value_spectrum"],
 )
 def test_verify_bounds_checks_plain_records(change, error, match):
     records = list(run_sweep(SweepConfig(n_samples=_BATCH + 10, seed=14)))
@@ -790,8 +800,10 @@ def test_caller_records_with_a_bad_row_are_refused_when_built(monkeypatch, row, 
         (canonical_pump, dict(p=np.bool_(False)), BadParameterError),
         (SweepConfig, dict(n_samples=10, seed=1, param_ranges={"t": (False, True)}), BadConfigError),
         (SweepConfig, dict(n_samples=10, seed=1, param_ranges={"mu": (0.0, np.bool_(True))}), BadConfigError),
+        (saturating_config, dict(pump_p=True), BadParameterError),
+        (saturating_config, dict(pump_p=np.bool_(False)), BadParameterError),
     ],
-    ids=["pump-true", "pump-numpy-false", "range-bools", "range-numpy-bool"],
+    ids=["pump-true", "pump-numpy-false", "range-bools", "range-numpy-bool", "saturating-true", "saturating-numpy-false"],
 )
 def test_bools_are_not_numbers(build, kwargs, error):
     # SchemeParams refuses them too (tests/test_scheme.py)
