@@ -6,7 +6,13 @@ class PumpLimitError(Exception):
 
 
 class NoConvergenceError(PumpLimitError):
-    """The eigensolver failed to converge."""
+    """The eigensolver or the SVD failed to converge.
+
+    ``index`` is the flat position, in the solved stack, of the first state
+    that failed; None when it is not known.
+    """
+
+    index: int | None = None
 
 
 class DimensionMismatchError(PumpLimitError):

@@ -3,10 +3,18 @@
 Matrices are plain numpy arrays of dtype complex128.  Everything here is a
 pure function of its inputs; randomness is always routed through an explicit
 seed or generator.  Helpers marked stack-aware accept arrays of shape
-``(..., n, n)`` and operate on the trailing two axes.  Every eigenvalue that
-the package solves for comes from :func:`check_states`, the one caller of
-numpy's Hermitian eigensolvers; only the sweep's source spectra are known in
-closed form.
+``(..., n, n)`` and operate on the trailing two axes.
+
+This is the one module that calls LAPACK, through the gufuncs that
+``numpy.linalg`` wraps: :func:`check_states` is the one caller of the
+Hermitian eigensolvers ``_umath_linalg.eigh_lo`` and ``eigvalsh_lo``, and
+:func:`_svdvals` of ``_umath_linalg.svd``; only the sweep's source spectra
+are known in closed form.  The gufuncs get the wrappers' signatures, so the
+results are the same bits, but not the ``np.errstate`` context that each
+wrapper enters, which costs about as much as LAPACK on a 4x4.  A gufunc
+clears the floating-point flags on success.  On failure it returns NaN and
+sets the invalid flag, which numpy reports as its errstate says (a
+RuntimeWarning by default), and the caller raises NoConvergenceError.
 
 The deterministic generator used throughout the package is numpy's Philox
 (4x64, 10 rounds), keyed directly by the user-supplied seed, so streams are
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     BadDimensionError,
@@ -142,8 +151,8 @@ def check_states(
     The rules, checked in order: square trailing axes with ``n`` in ``dims``,
     Hermiticity within ``herm_tol`` (max norm), unit trace within
     ``trace_tol`` and no eigenvalue below ``-PSD_TOL``.  The eigenvalues
-    are those of the Hermitian part ``(m + m^dag)/2``, from ``eigvalsh`` or,
-    with ``vectors``, from ``eigh``; a stack with no Hermiticity defect at
+    are those of the Hermitian part ``(m + m^dag)/2``, from ``eigvalsh_lo``
+    or, with ``vectors``, from ``eigh_lo``; a stack with no Hermiticity defect at
     all is passed to them as it is, since it equals its Hermitian part (up
     to the sign of a zero imaginary part).  Returns ``w`` or, with
     ``vectors``, ``(w, v)``, eigenvalues ascending, so that callers reuse
@@ -157,7 +166,9 @@ def check_states(
     InvalidDensityMatrixError (NotHermitianError for the Hermiticity rule,
     NotPSDError for the PSD rule) whose ``index`` is the flat position, over
     the leading axes, of the first state that breaks it.  A NaN entry breaks
-    the Hermiticity rule.  An eigensolver failure raises NoConvergenceError.
+    the Hermiticity rule.  An eigensolver failure raises NoConvergenceError,
+    with the ``index`` of the first state that failed when the solver
+    returned NaN for it.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
@@ -180,15 +191,38 @@ def check_states(
     else:
         h = a + adj
         h *= 0.5
-    try:
-        eig = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    low = (eig[0] if vectors else eig)[..., 0]
+    if vectors:
+        eig = _lapack(_umath_linalg.eigh_lo, h, "D->dD")
+        low = eig[0][..., 0]
+    else:
+        eig = _lapack(_umath_linalg.eigvalsh_lo, h, "D->d")
+        low = eig[..., 0]
     ok = low >= -PSD_TOL
     if not _all(ok):
+        solved = ~np.isnan(low)  # a failed solve fills its state's eigenvalues with NaN
+        if not _all(solved):
+            _reject(NoConvergenceError, solved, low, "eigensolver did not converge")
         _reject(NotPSDError, ok, low, "negative eigenvalue {:.3e}")
     return eig
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of complex matrices, non-ascending along the last axis.
+
+    A failed solve, whose values are NaN, raises NoConvergenceError.
+    """
+    s = _lapack(_umath_linalg.svd, m, "D->d")
+    if math.isnan(s.sum()):  # singular values are >= 0, so only a NaN makes the sum NaN
+        raise NoConvergenceError("SVD did not converge")
+    return s
+
+
+def _lapack(gufunc, m: np.ndarray, signature: str):
+    """``gufunc(m)``; a failure that numpy raises, by errstate or warning filter, raises NoConvergenceError."""
+    try:
+        return gufunc(m, signature=signature)
+    except (FloatingPointError, RuntimeWarning) as exc:
+        raise NoConvergenceError(f"{gufunc.__name__} did not converge") from exc
 
 
 def _trace_rule(tr, trace_tol: float) -> None:

@@ -129,8 +129,9 @@ class SweepConfig:
 
     ``param_ranges`` entries override :data:`DEFAULT_RANGES` per parameter
     and are kept as checked ``(lo, hi)`` float pairs.  ``two_d`` mode is the
-    range t in [1, 1], which confines every state to the |HH>, |VV> block;
-    :meth:`ranges` reports the ranges that the draws use.
+    range t in [1, 1], which confines every state to the |HH>, |VV> block,
+    so it refuses any other t range; :meth:`ranges` reports the ranges that
+    the draws use.
     """
 
     n_samples: int
@@ -164,6 +165,8 @@ class SweepConfig:
             if name in _UNIT_INTERVAL and not (0.0 <= lo and hi <= 1.0):
                 raise BadConfigError(f"range for {name!r} must stay within [0, 1]")
             checked[name] = (lo, hi)
+        if self.mode == "two_d" and checked.get("t", (1.0, 1.0)) != (1.0, 1.0):
+            raise BadConfigError(f"two_d mode draws t from (1.0, 1.0), got {checked['t']}")
         if self.param_ranges is not None:
             object.__setattr__(self, "param_ranges", checked)
 
@@ -643,7 +646,8 @@ def _write_csv(cfg: SweepConfig, handle) -> BoundReport:
 def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
     """The values ``_accumulate`` reads, at most _BATCH records at a time.
 
-    Plain records are packed into SweepRecords, whose rows are checked.
+    Plain records are packed into SweepRecords, whose rows are checked; a
+    ``sample_id`` that is not an integer raises BadParameterError.
     """
     if isinstance(records, SweepRecords):
         for lo in range(0, len(records), _BATCH):
@@ -651,12 +655,14 @@ def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
         return
     records = iter(records)
     while chunk := list(islice(records, _BATCH)):
-        ids = np.array([r.sample_id for r in chunk], dtype=np.int64)
         rows = []
         for r in chunk:
+            if not _is_int(r.sample_id):  # np.int64 would read 2.5, True or "7" as an id
+                raise BadParameterError(f"sample_id={r.sample_id!r}: not an integer")
             if len(spectrum := np.ravel(r.spectrum)) != 4:  # a ragged row names no sample
                 raise InvalidSpectrumError(f"sample_id={r.sample_id}: expected 4 values, got {len(spectrum)}")
             rows.append([*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *spectrum])
+        ids = np.array([r.sample_id for r in chunk], dtype=np.int64)
         yield SweepRecords((ids, np.array(rows)))._values
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NotTwoDError
 from .linalg import (
+    _svdvals,
     as_matrix,
     check_states,
     polarized_part,
@@ -72,7 +73,7 @@ def _wootters_stack(g: np.ndarray) -> np.ndarray:
     """
     o = g[..., 1, :, None] * g[..., 2, None, :]
     o -= g[..., 0, :, None] * g[..., 3, None, :]
-    return np.linalg.svd(o + o.swapaxes(-1, -2), compute_uv=False)
+    return _svdvals(o + o.swapaxes(-1, -2))
 
 
 def _ppt_det_stack(g: np.ndarray) -> np.ndarray:

@@ -53,8 +53,8 @@ def test_modules_import_only_from_lower_ranks():
     assert upward == []
 
 
-#: numpy's Hermitian eigensolvers, which only ``linalg.check_states`` may call
-EIGENSOLVERS = {"eigh", "eigvalsh"}
+#: numpy's Hermitian eigensolvers and their gufuncs, which only ``linalg.check_states`` may call
+EIGENSOLVERS = {"eigh", "eigvalsh", "eigh_lo", "eigvalsh_lo"}
 
 
 def _eigensolver_owners(path: Path) -> set[str]:
@@ -109,6 +109,10 @@ def _names(path: Path) -> set[str]:
 def test_only_twoqubit_names_the_separability_skip():
     namers = {path.stem for path in PACKAGE.glob("*.py") if _names(path) & SKIP_NAMES}
     assert namers == {"twoqubit"}
+
+
+def test_only_linalg_names_the_lapack_gufuncs():
+    assert {path.stem for path in PACKAGE.glob("*.py") if "_umath_linalg" in _names(path)} == {"linalg"}
 
 
 def test_only_scheme_and_linalg_name_the_factor_gates_rule():

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from pumplimit import (
     BadDimensionError,
@@ -12,8 +14,16 @@ from pumplimit import (
     NoConvergenceError,
     NotHermitianError,
     NotPSDError,
+    SchemeParams,
+    apply_channel,
+    build_density_matrix,
+    canonical_pump,
+    concurrence,
+    embed_pump,
     generator_from_seed,
+    is_majorized_by,
     random_haar_unitary,
+    random_mixed_unitary_channel,
     validate_density_matrix,
     validate_spectrum,
 )
@@ -34,17 +44,93 @@ def test_shape_checks_reject_mismatches():
         as_matrix(np.eye(2) / 2.0, dims=(4,))
 
 
-def _no_convergence(*args, **kwargs):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _nan_eigh(h, signature):
+    """What a failed ``eigh_lo`` returns: NaN eigenvalues and vectors."""
+    return np.full(h.shape[:-1], np.nan), np.full(h.shape, np.nan + 0j)
+
+
+def _nan_values(m, signature):
+    """What a failed ``eigvalsh_lo`` or ``svd`` returns: NaN values."""
+    return np.full(m.shape[:-1], np.nan)
 
 
 def test_eigensolver_failure_raises_no_convergence(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
-    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", _nan_values)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", _nan_eigh)
     with pytest.raises(NoConvergenceError, match="did not converge"):
         validate_density_matrix(np.eye(4) / 4.0)
     with pytest.raises(NoConvergenceError, match="did not converge"):
         check_states(np.eye(4) / 4.0, vectors=True)
+
+
+def test_svd_failure_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(_umath_linalg, "svd", _nan_values)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        linalg._svdvals(np.eye(4, dtype=complex))
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        concurrence(np.diag([0.5, 0.0, 0.0, 0.5]))
+
+
+def test_a_failed_solve_in_a_stack_is_named(monkeypatch):
+    solve = _umath_linalg.eigvalsh_lo
+
+    def fail_third(h, signature):
+        w = solve(h, signature=signature)
+        w[2] = np.nan
+        return w
+
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", fail_third)
+    with pytest.raises(NoConvergenceError, match="did not converge") as info:
+        check_states(np.broadcast_to(np.eye(4) / 4.0, (5, 4, 4)))
+    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+def test_a_real_solver_failure_raises_no_convergence(warn):
+    """NaN input, past switched-off rules, makes LAPACK fail: the gufunc
+    returns NaN and sets the invalid flag, which a RuntimeWarning reports."""
+    nan = np.full((4, 4), np.nan + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        for vectors in (False, True):
+            with pytest.raises(NoConvergenceError, match="did not converge"):
+                check_states(nan, herm_tol=math.inf, trace_tol=math.inf, vectors=vectors)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            linalg._svdvals(nan)
+
+
+def test_solvers_match_numpy_linalg_bit_for_bit():
+    """The gufuncs give what ``numpy.linalg`` gives: a numpy that renames or changes them fails here."""
+    rng = np.random.default_rng(27)
+    for dim in (2, 4):
+        for shape in [(dim, dim), (3, dim, dim), (2, 3, dim, dim)]:
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rho = g @ g.conj().swapaxes(-1, -2)
+            rho /= np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+            rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+            assert check_states(rho).tobytes() == np.linalg.eigvalsh(rho).tobytes()
+            w, v = check_states(rho, vectors=True)
+            want = np.linalg.eigh(rho)
+            assert w.tobytes() == want.eigenvalues.tobytes()
+            assert v.tobytes() == want.eigenvectors.tobytes()
+            assert linalg._svdvals(g).tobytes() == np.linalg.svd(g, compute_uv=False).tobytes()
+
+
+def test_near_bound_chains_raise_no_floating_point_warning():
+    """States with 1 - P and 1 - mu in [1e-12, 1e-3], nearly rank deficient, through the scalar API."""
+    rng = np.random.default_rng(2015)
+    channel = random_mixed_unitary_channel(3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for near_p, near_mu in 10.0 ** rng.uniform(-12.0, -3.0, size=(200, 2)):
+            settings = dict(zip(("t", "theta1", "theta2", "alpha1", "alpha2", "gamma0"), rng.random(6)))
+            pump_p = 1.0 - near_p
+            rho = build_density_matrix(SchemeParams(pump_p=pump_p, mu=1.0 - near_mu, **settings))
+            sigma = embed_pump(canonical_pump(pump_p)).sigma
+            out = apply_channel(channel, sigma)
+            assert concurrence(rho) <= (1.0 + pump_p) / 2.0 + 1e-9
+            assert concurrence(out) <= (1.0 + pump_p) / 2.0 + 1e-9
+            assert is_majorized_by(out, sigma).holds
 
 
 def test_check_states_vectors_match_2x2_closed_form():

@@ -124,8 +124,8 @@ def test_two_d_mode_pins_t_and_stays_two_level():
 
 
 def test_two_d_mode_is_the_t_range_it_draws_from():
-    cfg = SweepConfig(n_samples=1, seed=0, mode="two_d", param_ranges={"t": (0.2, 0.3)})
-    assert cfg.ranges()["t"] == (1.0, 1.0)
+    with pytest.raises(BadConfigError, match=r"two_d mode draws t from \(1.0, 1.0\), got \(0.2, 0.3\)"):
+        SweepConfig(n_samples=1, seed=0, mode="two_d", param_ranges={"t": (0.2, 0.3)})
     pinned = SweepConfig(n_samples=_BATCH, seed=5, param_ranges={"t": (1.0, 1.0)})
     two_d = dataclasses.replace(pinned, mode="two_d", param_ranges=None)
     assert two_d.ranges() == pinned.ranges()
@@ -323,6 +323,14 @@ def test_verify_bounds_checks_plain_records(change, error, match):
     )
     with pytest.raises(error, match=f"^sample_id=7: {match}"):
         verify_bounds([dataclasses.replace(lone, **change)])
+
+
+@pytest.mark.parametrize("sample_id", [2.5, True, "7"], ids=["float", "bool", "str"])
+def test_verify_bounds_refuses_a_sample_id_that_is_not_an_integer(sample_id):
+    records = list(run_sweep(SweepConfig(n_samples=3, seed=14)))
+    records[1] = dataclasses.replace(records[1], sample_id=sample_id)
+    with pytest.raises(BadParameterError, match=f"^sample_id={re.escape(repr(sample_id))}: not an integer"):
+        verify_bounds(records)
 
 
 def test_sweep_has_no_violations_in_either_mode(tmp_path):
