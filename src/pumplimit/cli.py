@@ -80,7 +80,7 @@ def _cmd_sweep(args) -> int:
         f"({report.violations} bound violations)",
         file=sys.stderr,
     )
-    return 0
+    return 0 if report.violations == 0 else 2
 
 
 def _print_report(report) -> None:

@@ -168,7 +168,7 @@ def check_states(
     the leading axes, of the first state that breaks it.  A NaN entry breaks
     the Hermiticity rule.  An eigensolver failure raises NoConvergenceError,
     with the ``index`` of the first state that failed when the solver
-    returned NaN for it.
+    returned NaN for it.  A stack of no states passes every rule.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] not in dims:
@@ -178,7 +178,7 @@ def check_states(
     # each rule is tested on the whole stack first; the per-state pass that
     # finds the offender runs only on failure
     adj = dagger(a)
-    worst = np.abs(a - adj).max() if herm_tol < math.inf else math.inf
+    worst = np.abs(a - adj).max(initial=0.0) if herm_tol < math.inf else math.inf
     if not worst <= herm_tol:
         defect = np.abs(a - adj).max(axis=(-2, -1))
         message = f"not Hermitian: defect {{:.3e}} exceeds {herm_tol:.1e}"

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .linalg import _as_float, _trace_rule, as_matrix, check_states, dagger
+from .linalg import _as_float, _is_int, _trace_rule, as_matrix, check_states, dagger
 from .polarization import canonical_pump, validate_polarization_matrix
 
 PARAM_FIELDS = ("t", "theta1", "theta2", "alpha1", "alpha2", "mu", "gamma0", "pump_p")
@@ -101,14 +101,14 @@ def transform_fields(params: SchemeParams, arm: int) -> np.ndarray:
     alpha})``.  The arm-2 stochastic phase is handled statistically when the
     density matrix is assembled, not here.
     """
+    if not _is_int(arm) or arm not in (1, 2):  # a bool or 1.0 is not an arm
+        raise BadParameterError(f"arm must be 1 or 2, got {arm!r}")
     if arm == 1:
         eta = math.sqrt(params.t)
         theta, alpha = params.theta1, params.alpha1
-    elif arm == 2:
+    else:
         eta = math.sqrt(1.0 - params.t)
         theta, alpha = params.theta2, params.alpha2
-    else:
-        raise BadParameterError(f"arm must be 1 or 2, got {arm!r}")
     cos, sin = math.cos(theta), math.sin(theta)
     phase = cmath.exp(1j * alpha)
     return eta * np.array([[cos, sin * phase], [-sin, cos * phase]])

@@ -39,10 +39,11 @@ allocate one ``(ids, values)`` store up front and copy each batch into it,
 the sweep sizing it by ``n_samples`` and the reader by a first pass over
 the file that counts its lines, so :func:`load_csv` reads the file twice.  The
 audit recomputes both bounds from ``pump_p`` and trusts no stored bound
-column; a NaN slack counts as a violation.  A CSV is read only if its
-``sample_id``s are nonnegative integers below 2**53 that strictly increase
-down the file, no concurrence is below 0 and its stored spectra, as one
-stack, pass :func:`~pumplimit.linalg.validate_spectrum`.
+column; a NaN slack counts as a violation.  The reader parses each batch
+with one ``np.loadtxt`` call into :data:`_ROW` records, so every int64 id
+reads back exactly.  A CSV is read only if its ids are nonnegative and
+strictly increase down the file, no concurrence is below 0 and its stored
+spectra, as one stack, pass :func:`~pumplimit.linalg.validate_spectrum`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ _VALUE_FIELDS = CSV_HEADER.split(",")[1:]
 _P, _T, _MU, _C = (_VALUE_FIELDS.index(name) for name in ("pump_p", "t", "mu", "concurrence"))
 _SPECTRUM = slice(_VALUE_FIELDS.index("lambda1"), _VALUE_FIELDS.index("lambda4") + 1)
 _UNIT_INDEX = [_VALUE_FIELDS.index(name) for name in _UNIT_INTERVAL]
+#: a CSV row as the reader parses it: the sample_id, then a batch's values
+_ROW = np.dtype([("sample_id", np.int64), ("values", np.float64, (len(_VALUE_FIELDS),))])
 
 
 @dataclass(frozen=True)
@@ -191,15 +194,15 @@ class SweepRecord:
 
 
 class SweepRecords(Sequence):
-    """Sweep records in sample order, held as one ``(ids, values)`` pair.
+    """Sweep records in the order of their arrays, held as one ``(ids, values)`` pair.
 
     Construction refuses ``ids`` that are not a 1-D integer array and
     ``values`` that are not a float array of shape ``(len(ids), 15)``, then
-    checks every row as :func:`verify_csv` does, _BATCH rows at a time,
-    and refuses the first bad one naming its ``sample_id``, so every
-    record's settings and spectrum are valid.  Indexing (and so iteration)
-    builds each :class:`SweepRecord` on access; slicing returns another
-    SweepRecords over views of the same arrays.
+    checks every row's values as :func:`verify_csv` does, _BATCH rows at a
+    time, and refuses the first bad one naming its ``sample_id``; the id
+    order is a rule of the CSV file, not of records.  Indexing (and so
+    iteration) builds each :class:`SweepRecord` on access; slicing returns
+    another SweepRecords over views of the same arrays.
     """
 
     def __init__(self, records: tuple[np.ndarray, np.ndarray]):
@@ -675,21 +678,22 @@ def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
 
 
 def _columns_from_csv(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The file's rows, _BATCH lines at a time, as the ``(ids, values)`` of a batch."""
+    """The file's rows, _BATCH lines at a time, as ``(ids, values)`` views of :data:`_ROW` records."""
     with open(path, "r", encoding="ascii") as handle:
         header = "".join(_read_lines(handle, 1, path)).strip()
         if header != CSV_HEADER:
             raise BadConfigError(f"unexpected CSV header in {path}")
         line_no = 1  # lines read so far, the header included
-        last_id = -1.0
+        last_id = -1
         while rows := _read_lines(handle, _BATCH, path):
             data, lines = _parse_rows(rows, path, line_no)
             line_no += len(rows)
             if not len(data):
                 continue
-            ids = _sample_ids(data[:, 0], lines, path, last_id)
-            last_id = data[-1, 0]
-            yield ids, data[:, 1:]
+            ids = data["sample_id"]
+            _check_order(ids, lines, path, last_id)
+            last_id = ids[-1]
+            yield ids, data["values"]
 
 
 def _read_lines(handle, count: int, path) -> list:
@@ -706,11 +710,11 @@ def _is_row(line: str) -> bool:
 
 
 def _parse_rows(rows: list, path, line_no: int):
-    """The data rows as an (n, 16) float array, with their 1-based file lines.
+    """The data rows as a :data:`_ROW` array, with their 1-based file lines.
 
     ``line_no`` lines of the file precede ``rows``.  Blank (whitespace-only)
-    and ``#`` comment lines are skipped.  A row that is not 16 numbers
-    raises BadConfigError naming the file and its line.
+    and ``#`` comment lines are skipped.  A row that is not a nonnegative
+    int64 and 15 numbers raises BadConfigError naming the file and its line.
     """
     lines = range(line_no + 1, line_no + 1 + len(rows))
     # the common batch, all data, is read with no per-line work in Python;
@@ -721,7 +725,7 @@ def _parse_rows(rows: list, path, line_no: int):
     lines = [k for k, line in zip(lines, rows) if _is_row(line)]
     rows = [line for line in rows if _is_row(line)]
     if not rows:
-        return np.empty((0, _N_FIELDS)), lines
+        return np.empty(0, _ROW), lines
     if (data := _table(rows)) is not None:
         return data, lines
     for k, line in zip(lines, rows):
@@ -733,43 +737,38 @@ def _parse_rows(rows: list, path, line_no: int):
                 float(value)
             except ValueError:
                 raise BadConfigError(f"{path}, line {k}: not a number: {value.strip()!r}") from None
-    raise BadConfigError(
-        f"{path}, lines {lines[0]}-{lines[-1]}: not a table of {_N_FIELDS} numbers"
-    )
+        try:
+            whole = 0 <= int(fields[0]) < 2**63
+        except ValueError:
+            whole = False
+        if not whole:
+            raise BadConfigError(f"{path}, line {k}: sample_id {fields[0].strip()} is not a nonnegative int64")
+    raise BadConfigError(f"{path}, lines {lines[0]}-{lines[-1]}: not a table of {_N_FIELDS} numbers")
 
 
 def _table(rows: list):
-    """The rows as an (n, 16) float array, or None if np.loadtxt reads anything else."""
+    """The rows as a :data:`_ROW` array, or None if np.loadtxt refuses them or skips any."""
     try:
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", dtype=_ROW, ndmin=1)
     except ValueError:
         return None
-    return data if data.shape == (len(rows), _N_FIELDS) else None
+    return data if len(data) == len(rows) else None
 
 
-def _sample_ids(column: np.ndarray, lines: Sequence[int], path, last: float) -> np.ndarray:
-    """The parsed sample_id column as int64, checked against the file order.
+def _check_order(ids: np.ndarray, lines: Sequence[int], path, last: int) -> None:
+    """Refuse the first id of a batch that is not above the id before it.
 
-    Every id must be a nonnegative integer below 2**53, where a double
-    holds every integer exactly and so parses each id to itself, and above
-    the id before it, ``last`` for the first row of a batch (-1 at the top
-    of the file); the first row that breaks a rule raises BadConfigError
-    naming its file line.
+    ``last`` is the id before the batch, -1 at the top of the file, so the
+    rule also refuses a negative id; the BadConfigError names the file line.
     """
-    before = np.concatenate(([last], column[:-1]))
-    whole = (column >= 0.0) & (column < 2.0**63) & (np.floor(column) == column)
-    exact = column < 2.0**53
-    ok = whole & exact & (column > before)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if not whole[i]:
-            problem = f"sample_id {float(column[i])!r} is not a nonnegative integer"
-        elif not exact[i]:
-            problem = "sample_id is 2**53 or more and cannot be read exactly"
-        else:
-            problem = f"sample_id {int(column[i])} after {int(before[i])}: ids must strictly increase"
-        raise BadConfigError(f"{path}, line {lines[i]}: {problem}")
-    return column.astype(np.int64)
+    before = np.concatenate(([last], ids[:-1]))
+    later = ids > before
+    if not later.all():
+        i = int(np.argmin(later))
+        problem = (
+            "is not a nonnegative int64" if ids[i] < 0 else f"after {before[i]}: ids must strictly increase"
+        )
+        raise BadConfigError(f"{path}, line {lines[i]}: sample_id {ids[i]} {problem}")
 
 
 def verify_csv(path) -> BoundReport:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import pumplimit.sweep
 from pumplimit import (
     KrausChannel,
     apply_channel,
@@ -116,6 +117,19 @@ def test_sweep_then_verify_ok(capsys, tmp_path):
     assert float(values["worst_slack"]) >= -1e-9
 
 
+def test_sweep_with_violations_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pumplimit.sweep, "_concurrence_stack", lambda g: np.full(len(g), np.nan))
+    path = tmp_path / "results.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "10", "--seed", "7", "--mode", "general", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"wrote 10 samples to {path} (10 bound violations)\n"
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert parsed_values(out)["violations"] == "10"
+
+
 def test_verify_flags_violations(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     row = [0, 0.5, 0.3, 0, 0, 0, 0, 1, 0, 0.9, 0.75, 0.5, 1, 0, 0, 0]
@@ -148,11 +162,12 @@ def test_verify_fails_rows_that_break_the_bound(capsys, tmp_path, row):
     [
         ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "line 3: expected 16 fields, got 15"),
         ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,x", "line 3: not a number: 'x'"),
+        # the repeated id on line 3 is an order error, found only once the batch parses
         (
             "1,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0",
-            "line 3: sample_id 1 after 1: ids must strictly increase",
+            "line 4: sample_id 1.7 is not a nonnegative int64",
         ),
-        ("1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0", "line 3: sample_id 1.7 is not a nonnegative integer"),
+        ("1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0", "line 3: sample_id 1.7 is not a nonnegative int64"),
     ],
 )
 def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):

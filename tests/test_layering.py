@@ -121,6 +121,11 @@ def test_only_scheme_and_linalg_name_the_factor_gates_rule():
     assert {path.stem for path in PACKAGE.glob("*.py") if "_trace_rule" in _names(path)} == {"linalg", "scheme"}
 
 
+def test_only_sweep_names_loadtxt():
+    """The sweep CSV reader is the package's one text-table parser."""
+    assert {path.stem for path in PACKAGE.glob("*.py") if "loadtxt" in _names(path)} == {"sweep"}
+
+
 def _strings(path: Path) -> set[str]:
     """Every string constant in a file."""
     nodes = ast.walk(ast.parse(path.read_text()))

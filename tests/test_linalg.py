@@ -19,6 +19,7 @@ from pumplimit import (
     build_density_matrix,
     canonical_pump,
     concurrence,
+    concurrence_many,
     embed_pump,
     generator_from_seed,
     is_majorized_by,
@@ -35,6 +36,15 @@ from oracles import eig2_hermitian, random_density
 def test_nan_breaks_the_hermiticity_rule():
     with pytest.raises(NotHermitianError):
         check_states(np.diag([np.nan, 1.0]), vectors=True)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (0, 4, 4), (3, 0, 4, 4)])
+def test_a_stack_of_no_states_passes(shape):
+    assert check_states(np.zeros(shape)).shape == shape[:-1]
+    w, v = check_states(np.zeros(shape), vectors=True)
+    assert (w.shape, v.shape) == (shape[:-1], shape)
+    if shape[-1] == 4:
+        assert concurrence_many(np.zeros(shape)).shape == shape[:-2]
 
 
 def test_shape_checks_reject_mismatches():

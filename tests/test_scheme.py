@@ -75,8 +75,16 @@ def test_transform_quarter_turn():
 
 
 def test_transform_rejects_bad_arm():
-    with pytest.raises(BadParameterError):
-        transform_fields(params_with(), 3)
+    # a bool, or a float equal to 1 or 2, is not an arm: the package reads no bool as a number
+    for arm in (3, 0, True, np.bool_(True), 1.0, 2.0, "1"):
+        with pytest.raises(BadParameterError, match="arm must be 1 or 2"):
+            transform_fields(params_with(), arm)
+
+
+def test_transform_takes_a_numpy_integer_arm():
+    p = params_with(t=0.3)
+    for arm in (1, 2):
+        np.testing.assert_array_equal(transform_fields(p, np.int64(arm)), transform_fields(p, arm))
 
 
 def test_transform_is_scaled_unitary():
