@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BadParameterError, DimensionMismatchError, InvalidDensityMatrixError
 from .linalg import (
+    _check_tol,
     _is_int,
     as_matrix,
     check_states,
@@ -117,8 +118,10 @@ def is_majorized_by(target, source, tol: float = MAJORIZATION_TOL) -> Majorizati
     Every leading partial sum of the target eigenvalues (non-ascending) must
     stay below the source's within ``tol``, and the totals must agree.  Both
     states pass the density-matrix rules as one stack; a state that breaks
-    them raises InvalidDensityMatrixError prefixed "target" or "source".
+    them raises InvalidDensityMatrixError prefixed "target" or "source"; a
+    ``tol`` that is not a number >= 0 raises BadParameterError.
     """
+    tol = _check_tol(tol)
     pair = np.array([as_matrix(target, dims=(4,)), as_matrix(source, dims=(4,))])
     try:
         spectra = check_states(pair)

@@ -91,6 +91,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not _is_bool(value)
 
 
+def _check_tol(tol) -> float:
+    """``tol`` as a float; a bool, NaN, a negative or a non-number raises BadParameterError."""
+    try:
+        if (value := _as_float(tol)) >= 0.0:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise BadParameterError(f"tol must be a number >= 0, got {tol!r}")
+
+
 def _check_seed(seed, error=BadParameterError) -> int:
     """``seed`` as an int, or ``error`` if it is not an integer in [0, SEED_LIMIT)."""
     if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
@@ -110,7 +120,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phase of the corresponding R diagonal entry (the phase correction that
     makes plain QR output Haar-uniform).
     """
-    if dim not in SUPPORTED_DIMS:
+    if not _is_int(dim) or dim not in SUPPORTED_DIMS:
         raise BadDimensionError(f"dim must be one of {SUPPORTED_DIMS}, got {dim}")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z / np.sqrt(2.0))

@@ -44,6 +44,8 @@ with one ``np.loadtxt`` call into :data:`_ROW` records, so every int64 id
 reads back exactly.  A CSV is read only if its ids are nonnegative and
 strictly increase down the file, no concurrence is below 0 and its stored
 spectra, as one stack, pass :func:`~pumplimit.linalg.validate_spectrum`.
+A batch that breaks the text or the id rule is read again a line at a
+time through the same call, and the first bad line in file order is named.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ _BLOCK_ROWS = 1024
 # bytes of the id ("%d" of any int64) and of the longest "%.17g" text
 # ("-4.9406564584124654e-324") in a row laid out by _render_csv
 _ID_WIDTH, _TEXT_WIDTH = 20, 24
-_N_FIELDS = CSV_HEADER.count(",") + 1
 #: columns of a batch's values: the CSV fields after sample_id, settings first
 _VALUE_FIELDS = CSV_HEADER.split(",")[1:]
 _P, _T, _MU, _C = (_VALUE_FIELDS.index(name) for name in ("pump_p", "t", "mu", "concurrence"))
@@ -686,14 +687,13 @@ def _columns_from_csv(path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         line_no = 1  # lines read so far, the header included
         last_id = -1
         while rows := _read_lines(handle, _BATCH, path):
-            data, lines = _parse_rows(rows, path, line_no)
+            data = _parse_rows(rows)
+            if data is None or not (data["sample_id"] > np.append(last_id, data["sample_id"][:-1])).all():
+                _first_bad_line(rows, path, line_no, last_id)
             line_no += len(rows)
-            if not len(data):
-                continue
-            ids = data["sample_id"]
-            _check_order(ids, lines, path, last_id)
-            last_id = ids[-1]
-            yield ids, data["values"]
+            if len(data):
+                last_id = data["sample_id"][-1]
+                yield data["sample_id"], data["values"]
 
 
 def _read_lines(handle, count: int, path) -> list:
@@ -709,41 +709,18 @@ def _is_row(line: str) -> bool:
     return line.lstrip()[:1] not in ("", "#")
 
 
-def _parse_rows(rows: list, path, line_no: int):
-    """The data rows as a :data:`_ROW` array, with their 1-based file lines.
+def _parse_rows(rows: list):
+    """The data rows as a :data:`_ROW` array, or None if np.loadtxt refuses one.
 
-    ``line_no`` lines of the file precede ``rows``.  Blank (whitespace-only)
-    and ``#`` comment lines are skipped.  A row that is not a nonnegative
-    int64 and 15 numbers raises BadConfigError naming the file and its line.
+    Blank (whitespace-only) and ``#`` comment lines are skipped.
     """
-    lines = range(line_no + 1, line_no + 1 + len(rows))
     # the common batch, all data, is read with no per-line work in Python;
     # np.loadtxt warns on a batch without data, so one that starts with a
     # blank or comment line goes straight to the filter
     if _is_row(rows[0]) and (data := _table(rows)) is not None:
-        return data, lines
-    lines = [k for k, line in zip(lines, rows) if _is_row(line)]
+        return data
     rows = [line for line in rows if _is_row(line)]
-    if not rows:
-        return np.empty(0, _ROW), lines
-    if (data := _table(rows)) is not None:
-        return data, lines
-    for k, line in zip(lines, rows):
-        fields = line.split("#")[0].split(",")
-        if len(fields) != _N_FIELDS:
-            raise BadConfigError(f"{path}, line {k}: expected {_N_FIELDS} fields, got {len(fields)}")
-        for value in fields:
-            try:
-                float(value)
-            except ValueError:
-                raise BadConfigError(f"{path}, line {k}: not a number: {value.strip()!r}") from None
-        try:
-            whole = 0 <= int(fields[0]) < 2**63
-        except ValueError:
-            whole = False
-        if not whole:
-            raise BadConfigError(f"{path}, line {k}: sample_id {fields[0].strip()} is not a nonnegative int64")
-    raise BadConfigError(f"{path}, lines {lines[0]}-{lines[-1]}: not a table of {_N_FIELDS} numbers")
+    return _table(rows) if rows else np.empty(0, _ROW)
 
 
 def _table(rows: list):
@@ -755,20 +732,25 @@ def _table(rows: list):
     return data if len(data) == len(rows) else None
 
 
-def _check_order(ids: np.ndarray, lines: Sequence[int], path, last: int) -> None:
-    """Refuse the first id of a batch that is not above the id before it.
+def _first_bad_line(rows: list, path, line_no: int, last: int) -> None:
+    """Raise BadConfigError naming the first line of a refused batch that breaks a rule.
 
-    ``last`` is the id before the batch, -1 at the top of the file, so the
-    rule also refuses a negative id; the BadConfigError names the file line.
+    ``line_no`` lines of the file precede ``rows`` and ``last`` is the id
+    before them, -1 at the top of the file.  Each data row is read alone by
+    :func:`_table`, the grammar of the whole batch, so a refused batch has a
+    bad line; its id must exceed the id before it, which refuses a negative id.
     """
-    before = np.concatenate(([last], ids[:-1]))
-    later = ids > before
-    if not later.all():
-        i = int(np.argmin(later))
-        problem = (
-            "is not a nonnegative int64" if ids[i] < 0 else f"after {before[i]}: ids must strictly increase"
-        )
-        raise BadConfigError(f"{path}, line {lines[i]}: sample_id {ids[i]} {problem}")
+    for k, line in enumerate(rows, line_no + 1):
+        if not _is_row(line):
+            continue
+        row = _table([line])
+        if row is None:
+            raise BadConfigError(f"{path}, line {k}: not an int64 sample_id and {len(_VALUE_FIELDS)} numbers")
+        sample_id = row["sample_id"][0]
+        if not sample_id > last:
+            problem = "is not a nonnegative int64" if sample_id < 0 else f"after {last}: ids must strictly increase"
+            raise BadConfigError(f"{path}, line {k}: sample_id {sample_id} {problem}")
+        last = sample_id
 
 
 def verify_csv(path) -> BoundReport:

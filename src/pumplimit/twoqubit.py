@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NotTwoDError
 from .linalg import (
+    _check_tol,
     _svdvals,
     as_matrix,
     check_states,
@@ -216,13 +217,13 @@ def is_two_d(rho, tol: float = TWO_D_TOL) -> bool:
 
     True when at most two diagonal entries exceed ``tol`` and every entry
     outside the induced block is below ``tol`` in magnitude.  Total
-    function: any well-shaped matrix yields a boolean.
+    function: any well-shaped matrix yields a boolean; a ``tol`` that is
+    not a number >= 0 raises BadParameterError.
     """
+    tol = _check_tol(tol)
     a = as_matrix(rho, dims=(4,))
     support = _support_indices(a, tol)
-    if support.size > 2:
-        return False
-    return _off_support_mass(a, support) <= tol
+    return support.size <= 2 and _off_support_mass(a, support) <= tol
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,11 @@ def two_d_decompose(rho, tol: float = TWO_D_TOL) -> TwoDDecomposition:
     """Decompose a two-level-supported state on its 2x2 block.
 
     Raises NotTwoDError when more than two diagonal entries exceed ``tol``
-    or when any off-block entry does.  A state with a single occupied level
-    is padded with the lowest free basis index.
+    or when any off-block entry does (BadParameterError if ``tol`` is not a
+    number >= 0).  A state with one occupied level is padded with the lowest
+    free basis index.
     """
+    tol = _check_tol(tol)
     a = as_matrix(rho, dims=(4,))
     validate_density_matrix(a)
     over = _support_indices(a, tol)

@@ -113,6 +113,13 @@ def test_majorization_detects_violation():
     np.testing.assert_allclose(report.partial_sums_target, [0.7, 1.0, 1.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("tol", [True, np.bool_(True), -1e-9, float("nan")])
+def test_majorization_refuses_a_tol_that_is_not_a_number_at_least_zero(tol):
+    # a bool tol of True read as 1.0 called |HH><HH| majorized by I/4
+    with pytest.raises(BadParameterError, match="tol must be a number >= 0"):
+        is_majorized_by(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 4.0, tol=tol)
+
+
 def test_random_channel_single_unitary_preserves_spectrum():
     ch = random_mixed_unitary_channel(1, seed=5)
     assert len(ch) == 1

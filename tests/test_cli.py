@@ -160,14 +160,14 @@ def test_verify_fails_rows_that_break_the_bound(capsys, tmp_path, row):
 @pytest.mark.parametrize(
     "row, problem",
     [
-        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "line 3: expected 16 fields, got 15"),
-        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,x", "line 3: not a number: 'x'"),
-        # the repeated id on line 3 is an order error, found only once the batch parses
+        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "line 3: not an int64 sample_id and 15 numbers"),
+        ("0,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,x", "line 3: not an int64 sample_id and 15 numbers"),
+        # the repeated id on line 3 is the first bad line, before the bad id on line 4
         (
             "1,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0",
-            "line 4: sample_id 1.7 is not a nonnegative int64",
+            "line 3: sample_id 1 after 1: ids must strictly increase",
         ),
-        ("1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0", "line 3: sample_id 1.7 is not a nonnegative int64"),
+        ("1.7,0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0", "line 3: not an int64 sample_id and 15 numbers"),
     ],
 )
 def test_verify_malformed_row_is_input_error(capsys, tmp_path, row, problem):

@@ -57,8 +57,8 @@ def test_modules_import_only_from_lower_ranks():
 EIGENSOLVERS = {"eigh", "eigvalsh", "eigh_lo", "eigvalsh_lo"}
 
 
-def _eigensolver_owners(path: Path) -> set[str]:
-    """``module.function`` for each function of a file that names an eigensolver.
+def _owners(path: Path, names: set[str]) -> set[str]:
+    """``module.function`` for each function of a file that names one of ``names``.
 
     A name counts as an attribute (``np.linalg.eigh``) or as an imported
     name (``from numpy.linalg import eigh``); module-level uses count as
@@ -70,12 +70,12 @@ def _eigensolver_owners(path: Path) -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         if isinstance(node, ast.Attribute):
-            names = {node.attr}
+            named = {node.attr}
         elif isinstance(node, ast.ImportFrom):
-            names = {a.name for a in node.names}
+            named = {a.name for a in node.names}
         else:
-            names = set()
-        if names & EIGENSOLVERS:
+            named = set()
+        if named & names:
             found.add(f"{path.stem}.{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -85,7 +85,7 @@ def _eigensolver_owners(path: Path) -> set[str]:
 
 
 def test_only_check_states_calls_the_eigensolvers():
-    owners = set().union(*(_eigensolver_owners(path) for path in PACKAGE.glob("*.py")))
+    owners = set().union(*(_owners(path, EIGENSOLVERS) for path in PACKAGE.glob("*.py")))
     assert owners == {"linalg.check_states"}
 
 
@@ -122,8 +122,9 @@ def test_only_scheme_and_linalg_name_the_factor_gates_rule():
 
 
 def test_only_sweep_names_loadtxt():
-    """The sweep CSV reader is the package's one text-table parser."""
-    assert {path.stem for path in PACKAGE.glob("*.py") if "loadtxt" in _names(path)} == {"sweep"}
+    """The sweep CSV reader's ``_table`` is the package's one text-table parser, so the reader has one grammar."""
+    owners = set().union(*(_owners(path, {"loadtxt"}) for path in PACKAGE.glob("*.py")))
+    assert owners == {"sweep._table"}
 
 
 def _strings(path: Path) -> set[str]:

@@ -22,6 +22,7 @@ from pumplimit import (
     concurrence_many,
     embed_pump,
     generator_from_seed,
+    haar_unitary,
     is_majorized_by,
     random_haar_unitary,
     random_mixed_unitary_channel,
@@ -185,6 +186,14 @@ def test_haar_trace_second_moment():
 def test_haar_rejects_bad_dim():
     with pytest.raises(BadDimensionError):
         random_haar_unitary(3, 0)
+
+
+@pytest.mark.parametrize("dim", [2.0, np.float64(4.0), True])
+def test_haar_rejects_a_dim_that_is_not_an_integer(dim):
+    with pytest.raises(BadDimensionError):
+        random_haar_unitary(dim, 1)
+    with pytest.raises(BadDimensionError):
+        haar_unitary(dim, generator_from_seed(1))
 
 
 def test_generator_rejects_bad_seeds():

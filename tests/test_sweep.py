@@ -950,11 +950,16 @@ def test_audit_flags_rows_that_break_the_bound(two_batch_csv, tmp_path, values):
     assert verify_bounds([record]).violations == 1
 
 
+_TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its sample_id
+_NOT_ID = "is not a nonnegative int64"
+_NOT_ROW = "not an int64 sample_id and 15 numbers"
+
+
 @pytest.mark.parametrize(
     "line, problem",
     [
-        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", "expected 16 fields, got 15"),
-        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,zero", "not a number: 'zero'"),
+        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0", _NOT_ROW),
+        ("7,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,zero", _NOT_ROW),
     ],
 )
 def test_malformed_row_names_file_line(two_batch_csv, tmp_path, line, problem):
@@ -971,37 +976,50 @@ def test_malformed_row_names_file_line(two_batch_csv, tmp_path, line, problem):
 def test_rows_all_short_or_unparsable_are_rejected(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text(CSV_HEADER + "\n" + "0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0\n" * 3)
-    with pytest.raises(BadConfigError, match="line 2: expected 16 fields, got 15"):
+    with pytest.raises(BadConfigError, match=f"line 2: {_NOT_ROW}"):
         load_csv(path)
-    # float() takes "1_0" but np.loadtxt does not: the error names the batch's lines
     path.write_text(CSV_HEADER + "\n" + "1_0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0\n" * 3)
-    with pytest.raises(BadConfigError, match="lines 2-4: not a table of 16 numbers"):
+    with pytest.raises(BadConfigError, match=f"line 2: {_NOT_ROW}"):
         load_csv(path)
 
 
-_TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its sample_id
-_NOT_ID = "is not a nonnegative int64"
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ([f"1_0,{_TAIL}", f"11,{_TAIL}"], 2),
+        ([f"0,{_TAIL}", f"1,{_TAIL.replace('0.3', '0.3_1', 1)}"], 3),
+    ],
+)
+def test_underscore_fields_name_their_line(tmp_path, rows, line):
+    """Python's float() and int() take "1_0"; the reader's one grammar, np.loadtxt's, does not."""
+    path = tmp_path / "underscore.csv"
+    path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    for read in (load_csv, verify_csv):
+        with pytest.raises(BadConfigError) as info:
+            read(path)
+        assert str(info.value) == f"{path}, line {line}: {_NOT_ROW}"
 
 
 @pytest.mark.parametrize(
     "ids, problem",
     [
         (["0", "0", "1"], "line 3: sample_id 0 after 0: ids must strictly increase"),
-        (["0", "1.7"], f"line 3: sample_id 1.7 {_NOT_ID}"),
+        (["0", "1.7"], f"line 3: {_NOT_ROW}"),
         (["0", "5", "4"], "line 4: sample_id 4 after 5: ids must strictly increase"),
         (["0", None, "0"], "line 4: sample_id 0 after 0: ids must strictly increase"),
-        (["-1.0"], f"line 2: sample_id -1.0 {_NOT_ID}"),
-        (["nan"], f"line 2: sample_id nan {_NOT_ID}"),
-        (["1e+30"], f"line 2: sample_id 1e+30 {_NOT_ID}"),
+        (["-1.0"], f"line 2: {_NOT_ROW}"),
+        (["nan"], f"line 2: {_NOT_ROW}"),
+        (["1e+30"], f"line 2: {_NOT_ROW}"),
         # the writer renders ids with %d, so an integer written as a float is refused
-        (["7.0"], f"line 2: sample_id 7.0 {_NOT_ID}"),
-        (["1e30"], f"line 2: sample_id 1e30 {_NOT_ID}"),
-        ([""], "line 2: not a number: ''"),
+        (["7.0"], f"line 2: {_NOT_ROW}"),
+        (["1e30"], f"line 2: {_NOT_ROW}"),
+        ([""], f"line 2: {_NOT_ROW}"),
         (["-1"], f"line 2: sample_id -1 {_NOT_ID}"),
         (["0", "5", "-3"], f"line 4: sample_id -3 {_NOT_ID}"),
-        (["0", "9223372036854775808"], f"line 3: sample_id 9223372036854775808 {_NOT_ID}"),
-        # within a batch, a row that np.loadtxt refuses is named before an order error
-        (["0", "0", "1.7"], f"line 4: sample_id 1.7 {_NOT_ID}"),
+        (["0", "9223372036854775808"], f"line 3: {_NOT_ROW}"),
+        # the first bad line in file order is named: an order error before a text error
+        (["0", "0", "1.7"], "line 3: sample_id 0 after 0: ids must strictly increase"),
+        (["0", "1.7", "0"], f"line 3: {_NOT_ROW}"),
     ],
 )
 def test_bad_sample_ids_are_rejected(tmp_path, ids, problem):
@@ -1030,22 +1048,30 @@ def test_repeated_sample_id_across_batches_is_rejected(two_batch_csv, tmp_path):
     lines = two_batch_csv[0].read_text().splitlines(keepends=True)
     lines[_BATCH + 1] = lines[_BATCH + 1].replace(f"{_BATCH},", f"{_BATCH - 1},", 1)
     bad = tmp_path / "bad.csv"
-    bad.write_text("".join(lines))
-    for read in (load_csv, verify_csv):
-        with pytest.raises(BadConfigError) as info:
-            read(bad)
-        assert str(info.value) == (
-            f"{bad}, line {_BATCH + 2}: sample_id {_BATCH - 1} after {_BATCH - 1}: "
-            "ids must strictly increase"
-        )
+    # a bad row later in the same batch is not the first bad line
+    for later in (lines[_BATCH + 20], f"1.7,{_TAIL}\n"):
+        bad.write_text("".join(lines[: _BATCH + 20] + [later] + lines[_BATCH + 21 :]))
+        for read in (load_csv, verify_csv):
+            with pytest.raises(BadConfigError) as info:
+                read(bad)
+            assert str(info.value) == (
+                f"{bad}, line {_BATCH + 2}: sample_id {_BATCH - 1} after {_BATCH - 1}: "
+                "ids must strictly increase"
+            )
 
 
 def test_blank_and_comment_lines_keep_file_line_numbers(tmp_path):
     path = tmp_path / "gaps.csv"
-    body = f"0,{_TAIL}\n\n# a comment\n   \n1,{_TAIL}\n2,0.5,0.3\n"
+    body = f"\n0,{_TAIL}\n\n# a comment\n   \n\t\n1,{_TAIL}\n  # indented\n"
+    for bad, problem in [
+        ("2,0.5,0.3", _NOT_ROW),
+        (f"2_0,{_TAIL}", _NOT_ROW),
+        (f"1,{_TAIL}", "sample_id 1 after 1: ids must strictly increase"),
+    ]:
+        path.write_text(CSV_HEADER + "\n" + body + bad + "\n")
+        for read in (load_csv, verify_csv):
+            with pytest.raises(BadConfigError) as info:
+                read(path)
+            assert str(info.value) == f"{path}, line 10: {problem}"
     path.write_text(CSV_HEADER + "\n" + body)
-    with pytest.raises(BadConfigError) as info:
-        load_csv(path)
-    assert str(info.value) == f"{path}, line 7: expected 16 fields, got 3"
-    path.write_text(CSV_HEADER + "\n" + body.replace("2,0.5,0.3\n", ""))
     assert [r.sample_id for r in load_csv(path)] == [0, 1]

@@ -3,6 +3,7 @@ import pytest
 
 import pumplimit.twoqubit
 from pumplimit import (
+    BadParameterError,
     InvalidSpectrumError,
     NotTwoDError,
     concurrence,
@@ -285,3 +286,11 @@ def test_is_two_d_cases():
     assert is_two_d(bell_phi())
     assert is_two_d(basis_projector(0))
     assert not is_two_d(np.eye(4) / 4.0)
+
+
+@pytest.mark.parametrize("tol", [True, np.bool_(True), -1e-9, float("nan")])
+def test_two_d_tools_refuse_a_tol_that_is_not_a_number_at_least_zero(tol):
+    # a bool tol of True read as 1.0 called the maximally mixed state two-level
+    for check in (is_two_d, two_d_decompose):
+        with pytest.raises(BadParameterError, match="tol must be a number >= 0"):
+            check(np.eye(4) / 4.0, tol=tol)
