@@ -27,7 +27,7 @@ from .serialize import (
     save_matrix,
 )
 from .sweep import BOUND_TOL, MODES, SweepConfig, saturating_config, sweep_to_csv, verify_csv
-from .twoqubit import _concurrence_from_s, concurrence, wootters_spectrum
+from .twoqubit import concurrence, wootters_spectrum
 
 
 def _fmt(x) -> str:
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_concurrence(args) -> int:
     rho = load_matrix(args.infile)
     s = wootters_spectrum(rho)
-    print(f"concurrence = {_fmt(_concurrence_from_s(*s))}")
+    print(f"concurrence = {_fmt(concurrence(rho))}")
     for i in range(4):
         print(f"s{i + 1} = {_fmt(s[i])}")
     return 0
@@ -110,7 +110,7 @@ def _cmd_saturate(args) -> int:
 def _cmd_channel_verify(args) -> int:
     ch = load_channel(args.channel)
     sigma = load_matrix(args.source)
-    eps = validate_density_matrix(as_matrix(sigma, dims=(4,)))
+    validate_density_matrix(as_matrix(sigma, dims=(4,)))
     tp, unital = validate_doubly_stochastic(ch)
     print(f"trace_preserving = {str(tp).lower()}")
     print(f"unital = {str(unital).lower()}")
@@ -122,8 +122,8 @@ def _cmd_channel_verify(args) -> int:
         print("partial_sums_source = " + ",".join(_fmt(x) for x in report.partial_sums_source))
         print("partial_sums_target = " + ",".join(_fmt(x) for x in report.partial_sums_target))
         print(f"worst_slack = {_fmt(report.worst_slack)}")
-        pol = float(eps[0] - eps[1])
-        bound = (1.0 + pol) / 2.0
+        # C <= lambda1(rho) <= lambda1(sigma), which is (1 + P)/2 for an embedded pump
+        bound = float(report.partial_sums_source[0])
         value = concurrence(rho)
         bound_ok = value <= bound + BOUND_TOL
         print(f"concurrence = {_fmt(value)}")

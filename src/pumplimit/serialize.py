@@ -8,6 +8,8 @@ boundary::
 with row-major real and imaginary parts as decimal numbers.  Channels are
 ``{"operators": [<matrix>, ...], "labels": [...]}`` (labels optional) and
 source settings use the flat key set of :data:`pumplimit.scheme.PARAM_FIELDS`.
+Every value that stands for a number must be a JSON number, an int or a
+float and not a bool; a string such as ``"0.5"`` is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ from .channels import KrausChannel
 from .errors import BadConfigError, BadParameterError, _not_ascii
 from .linalg import SUPPORTED_DIMS, _is_int, as_matrix
 from .scheme import PARAM_FIELDS, SchemeParams
+
+
+def _number(value, key: str):
+    """``value`` if it is a JSON number (an int or a float, not a bool), else BadParameterError naming ``key``."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise BadParameterError(f"{key} must be a number, got {value!r}")
+    return value
 
 
 def matrix_to_json(m) -> dict:
@@ -46,8 +55,7 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     for part in ("re", "im"):
         for entry in (x for row in obj[part] for x in row):
-            if not (_is_int(entry) or isinstance(entry, (float, np.floating))):
-                raise BadParameterError(f"{part!r} entries must be numbers, got {entry!r}")
+            _number(entry, f"{part!r} entry")
     return re + 1j * im
 
 
@@ -114,7 +122,7 @@ def params_from_json(obj) -> SchemeParams:
     unknown = [key for key in obj if key not in PARAM_FIELDS]
     if unknown:
         raise BadParameterError(f"unknown parameter keys: {', '.join(unknown)}")
-    return SchemeParams(**obj)
+    return SchemeParams(**{name: _number(value, name) for name, value in obj.items()})
 
 
 def save_params(path, params: SchemeParams) -> None:

@@ -33,19 +33,23 @@ draw to disk: the pair ``(ids, values)`` of its int64 ``sample_id``s and an
 :func:`run_sweep` and :func:`load_csv` return :class:`SweepRecords`, a
 sequence backed by the same two arrays: each :class:`SweepRecord` is built
 when it is accessed, and :func:`verify_bounds` audits the values without
-building any.  A SweepRecords checks its rows when it is constructed,
-whoever supplies the arrays.  The records are held once: both functions
-allocate one ``(ids, values)`` store up front and copy each batch into it,
-the sweep sizing it by ``n_samples`` and the reader by a first pass over
-the file that counts its lines, so :func:`load_csv` reads the file twice.  The
+building any.  The records are held once: both functions allocate one
+``(ids, values)`` store up front and copy each batch into it, the sweep
+sizing it by ``n_samples`` and the reader by a first pass over the file
+that counts its lines, so :func:`load_csv` reads the file twice.  The
 audit recomputes both bounds from ``pump_p`` and trusts no stored bound
-column; a NaN slack counts as a violation.  The reader parses each batch
-with one ``np.loadtxt`` call into :data:`_ROW` records, so every int64 id
-reads back exactly.  A CSV is read only if its ids are nonnegative and
-strictly increase down the file, no concurrence is below 0 and its stored
-spectra, as one stack, pass :func:`~pumplimit.linalg.validate_spectrum`.
-A batch that breaks the text or the id rule is read again a line at a
-time through the same call, and the first bad line in file order is named.
+column; a NaN slack counts as a violation.
+
+A row has one rule, whether it comes as a CSV line, a caller's arrays or
+a plain :class:`SweepRecord`: an int64 ``sample_id`` and 15 numbers,
+which a :class:`SweepRecords` checks when it is built.  The reader parses
+each batch with one ``np.loadtxt`` call into :data:`_ROW` records, so
+every int64 id reads back exactly; :func:`verify_bounds` packs a plain
+record with ``linalg._is_int`` and ``linalg._as_float``.  A line or
+record that does not parse raises :data:`_NOT_ROW` after its line or
+``sample_id``.  A file's ids must also be nonnegative and strictly
+increase; a batch that breaks that or the grammar is read again a line
+at a time through the same call, and its first bad line is named.
 """
 
 from __future__ import annotations
@@ -125,6 +129,8 @@ _SPECTRUM = slice(_VALUE_FIELDS.index("lambda1"), _VALUE_FIELDS.index("lambda4")
 _UNIT_INDEX = [_VALUE_FIELDS.index(name) for name in _UNIT_INTERVAL]
 #: a CSV row as the reader parses it: the sample_id, then a batch's values
 _ROW = np.dtype([("sample_id", np.int64), ("values", np.float64, (len(_VALUE_FIELDS),))])
+#: the grammar error of a CSV line or a plain record, after its line or sample_id
+_NOT_ROW = f"not an int64 sample_id and {len(_VALUE_FIELDS)} numbers"
 
 
 @dataclass(frozen=True)
@@ -199,11 +205,15 @@ class SweepRecords(Sequence):
 
     Construction refuses ``ids`` that are not a 1-D integer array and
     ``values`` that are not a float array of shape ``(len(ids), 15)``, then
-    checks every row's values as :func:`verify_csv` does, _BATCH rows at a
-    time, and refuses the first bad one naming its ``sample_id``; the id
-    order is a rule of the CSV file, not of records.  Indexing (and so
-    iteration) builds each :class:`SweepRecord` on access; slicing returns
-    another SweepRecords over views of the same arrays.
+    applies the package's one row rule, _BATCH rows at a time, and refuses
+    the first bad row with an error prefixed by its ``sample_id``.  Every
+    setting must be finite with ``pump_p``, ``t`` and ``mu`` in [0, 1]
+    (the row is rebuilt as SchemeParams to name the setting); a
+    concurrence below 0 raises BadParameterError, while a NaN or +inf one
+    passes for the audit to count; the spectra go through validate_spectrum
+    as one stack.  The id order is a rule of the CSV file, not of records.
+    Indexing (and so iteration) builds each :class:`SweepRecord` on access;
+    slicing returns another SweepRecords over views of the same arrays.
     """
 
     def __init__(self, records: tuple[np.ndarray, np.ndarray]):
@@ -214,8 +224,23 @@ class SweepRecords(Sequence):
         if not (isinstance(values, np.ndarray) and values.shape == shape and values.dtype.kind == "f"):
             raise BadParameterError(f"record values must be a float array of shape {shape}, got {_describe(values)}")
         self._ids, self._values = ids, values
-        for lo in range(0, len(self), _BATCH):
-            _check_batch(self._ids[lo : lo + _BATCH], self._values[lo : lo + _BATCH])
+        for lo in range(0, len(ids), _BATCH):
+            part = values[lo : lo + _BATCH]
+            unit = part[:, _UNIT_INDEX]
+            ok = np.isfinite(part[:, : len(COLUMNS)]).all(axis=1) & ((unit >= 0.0) & (unit <= 1.0)).all(axis=1)
+            if not ok.all():
+                i = lo + int(np.argmin(ok))
+                try:
+                    SchemeParams(**dict(zip(COLUMNS, values[i, : len(COLUMNS)].tolist())))
+                except BadParameterError as exc:
+                    raise BadParameterError(f"sample_id={ids[i]}: {exc}") from None
+            if (negative := part[:, _C] < 0.0).any():
+                i = lo + int(np.argmax(negative))
+                raise BadParameterError(f"sample_id={ids[i]}: concurrence {float(values[i, _C])!r} is negative")
+            try:
+                validate_spectrum(part[:, _SPECTRUM])
+            except InvalidSpectrumError as exc:
+                raise InvalidSpectrumError(f"sample_id={ids[lo + exc.index]}: {exc}") from None
 
     def __len__(self) -> int:
         return self._ids.shape[0]
@@ -542,35 +567,6 @@ def _accumulate(values: np.ndarray) -> tuple:
     return conc.size, violations, worst, max_gen, max_2d, dec
 
 
-def _check_batch(ids: np.ndarray, values: np.ndarray) -> None:
-    """Reject a batch with a bad setting, a negative concurrence or a bad spectrum.
-
-    Every setting must be finite and ``pump_p``, ``t`` and ``mu`` must lie
-    in [0, 1]; the first failing row is rebuilt as SchemeParams so that the
-    error names its setting.  A concurrence below 0 (-inf included) raises
-    BadParameterError; a NaN or +inf one passes, for the audit to count as
-    a violation.  The spectra go through validate_spectrum as one stack.
-    Every error is prefixed by the failing row's ``sample_id``.
-    """
-    settings = values[:, : len(COLUMNS)]
-    unit = values[:, _UNIT_INDEX]
-    ok = np.isfinite(settings).all(axis=1) & ((unit >= 0.0) & (unit <= 1.0)).all(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        try:
-            SchemeParams(**dict(zip(COLUMNS, settings[i].tolist())))
-        except BadParameterError as exc:
-            raise BadParameterError(f"sample_id={ids[i]}: {exc}") from None
-    negative = values[:, _C] < 0.0
-    if negative.any():
-        i = int(np.argmax(negative))
-        raise BadParameterError(f"sample_id={ids[i]}: concurrence {float(values[i, _C])!r} is negative")
-    try:
-        validate_spectrum(values[:, _SPECTRUM])
-    except InvalidSpectrumError as exc:
-        raise InvalidSpectrumError(f"sample_id={ids[exc.index]}: {exc}") from None
-
-
 def _records_from_batch(ids: np.ndarray, values: np.ndarray, store: tuple, at: int) -> int:
     """Copy a batch into ``store`` from row ``at``; returns the row after the batch's last."""
     stop = at + len(ids)
@@ -650,8 +646,9 @@ def _write_csv(cfg: SweepConfig, handle) -> BoundReport:
 def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
     """The values ``_accumulate`` reads, at most _BATCH records at a time.
 
-    Plain records are packed into SweepRecords, whose rows are checked; a
-    ``sample_id`` that is not an integer raises BadParameterError.
+    Plain records are packed, the id by ``_is_int`` into an int64 and the
+    15 values by ``_as_float``, into SweepRecords, which checks the rows; a
+    record that does not pack raises BadParameterError with :data:`_NOT_ROW`.
     """
     if isinstance(records, SweepRecords):
         for lo in range(0, len(records), _BATCH):
@@ -659,15 +656,18 @@ def _record_values(records: Iterable[SweepRecord]) -> Iterator[np.ndarray]:
         return
     records = iter(records)
     while chunk := list(islice(records, _BATCH)):
-        rows = []
-        for r in chunk:
-            if not _is_int(r.sample_id):  # np.int64 would read 2.5, True or "7" as an id
-                raise BadParameterError(f"sample_id={r.sample_id!r}: not an integer")
-            if len(spectrum := np.ravel(r.spectrum)) != 4:  # a ragged row names no sample
-                raise InvalidSpectrumError(f"sample_id={r.sample_id}: expected 4 values, got {len(spectrum)}")
-            rows.append([*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *spectrum])
-        ids = np.array([r.sample_id for r in chunk], dtype=np.int64)
-        yield SweepRecords((ids, np.array(rows)))._values
+        ids, values = np.empty(len(chunk), np.int64), np.empty((len(chunk), len(_VALUE_FIELDS)))
+        for i, r in enumerate(chunk):
+            sample_id = r.sample_id
+            try:
+                if not _is_int(sample_id):  # np.int64 would read 2.5, True or "7" as an id
+                    raise TypeError
+                ids[i] = int(sample_id)  # an int, so that np.uint64 overflows rather than wraps
+                row = [*(getattr(r.params, n) for n in COLUMNS), r.concurrence, r.bound_general, r.bound_2d, *r.spectrum]
+                values[i] = [_as_float(x) for x in row]  # 11 values or more: a wrong count cannot broadcast
+            except (AttributeError, OverflowError, TypeError, ValueError):
+                raise BadParameterError(f"sample_id={sample_id!r}: {_NOT_ROW}") from None
+        yield SweepRecords((ids, values))._values
 
 
 def verify_bounds(records: Iterable[SweepRecord]) -> BoundReport:
@@ -745,7 +745,7 @@ def _first_bad_line(rows: list, path, line_no: int, last: int) -> None:
             continue
         row = _table([line])
         if row is None:
-            raise BadConfigError(f"{path}, line {k}: not an int64 sample_id and {len(_VALUE_FIELDS)} numbers")
+            raise BadConfigError(f"{path}, line {k}: {_NOT_ROW}")
         sample_id = row["sample_id"][0]
         if not sample_id > last:
             problem = "is not a nonnegative int64" if sample_id < 0 else f"after {last}: ids must strictly increase"
@@ -756,14 +756,12 @@ def _first_bad_line(rows: list, path, line_no: int, last: int) -> None:
 def verify_csv(path) -> BoundReport:
     """Audit a sweep CSV file against the bounds, streaming.
 
-    Rows whose settings SchemeParams would refuse, or whose concurrence is
-    negative, raise BadParameterError, and rows whose spectrum
-    validate_spectrum would refuse raise InvalidSpectrumError.
+    Each batch is checked by building :class:`SweepRecords` from it, as
+    :func:`load_csv` does.
     """
     report = BoundReport()
-    for ids, values in _columns_from_csv(path):
-        _check_batch(ids, values)
-        report._fold(_accumulate(values))
+    for batch in _columns_from_csv(path):
+        report._fold(_accumulate(SweepRecords(batch)._values))
     return report
 
 

@@ -27,7 +27,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .errors import NotTwoDError
+from .errors import InvalidSpectrumError, NotTwoDError
 from .linalg import (
     _check_tol,
     _svdvals,
@@ -176,13 +176,21 @@ def _orbit_stack(w: np.ndarray) -> np.ndarray:
     return w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3])
 
 
+def _one_spectrum(spectrum) -> np.ndarray:
+    """A checked single spectrum; a stack of them raises InvalidSpectrumError naming its shape."""
+    w = validate_spectrum(spectrum)
+    if w.ndim != 1:
+        raise InvalidSpectrumError(f"expected one spectrum of 4 values, got shape {w.shape}")
+    return w
+
+
 def unitary_max_concurrence(spectrum) -> float:
     """Largest concurrence on the unitary orbit of a spectrum.
 
     For eigenvalues l1 >= l2 >= l3 >= l4 this is
     ``max(0, l1 - l3 - 2 sqrt(l2 l4))``.
     """
-    return max(0.0, float(_orbit_stack(validate_spectrum(spectrum))))
+    return max(0.0, float(_orbit_stack(_one_spectrum(spectrum))))
 
 
 def construct_max_entangled_state(spectrum) -> np.ndarray:
@@ -192,8 +200,7 @@ def construct_max_entangled_state(spectrum) -> np.ndarray:
     ``F_{1,2} = (|HH> +- |VV>)/sqrt(2)``; its concurrence equals
     :func:`unitary_max_concurrence` of the spectrum.
     """
-    w = validate_spectrum(spectrum)
-    l1, l2, l3, l4 = (float(x) for x in w)
+    l1, l2, l3, l4 = _one_spectrum(spectrum).tolist()
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = (l1 + l3) / 2.0
     rho[0, 3] = rho[3, 0] = (l1 - l3) / 2.0

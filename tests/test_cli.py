@@ -89,6 +89,19 @@ def test_scheme_and_oracle_agree(capsys, tmp_path):
     assert np.max(np.abs(load_matrix(out_a) - load_matrix(out_b))) <= 1e-12
 
 
+@pytest.mark.parametrize("value", ["1_0", "0.5", True, None], ids=["underscore", "string", "true", "null"])
+def test_scheme_refuses_a_setting_that_is_not_a_json_number(capsys, tmp_path, value):
+    ppath, out = tmp_path / "params.json", tmp_path / "rho.json"
+    save_params(ppath, SchemeParams(t=0.5, theta1=0.3, theta2=1.0, alpha1=0.2,
+                                    alpha2=2.2, mu=0.8, gamma0=0.4, pump_p=0.6))
+    settings = json.loads(ppath.read_text())
+    ppath.write_text(json.dumps(dict(settings, theta1=value)))
+    code, _, err = run_cli(capsys, "scheme", "--params", str(ppath), "--out", str(out))
+    assert code == 1
+    assert err == f"error: theta1 must be a number, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_saturate_prints_params_and_value(capsys):
     code, out, _ = run_cli(capsys, "saturate", "--pump-p", "0.6")
     assert code == 0
@@ -226,6 +239,24 @@ def test_channel_verify_valid_channel(capsys, tmp_path):
     assert values["majorized"] == "true"
     assert values["bound_satisfied"] == "true"
     assert float(values["bound_general"]) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_channel_verify_bounds_by_the_sources_top_eigenvalue(capsys, tmp_path):
+    """For a rank-4 source the bound is lambda1(sigma), which caps C through C <= lambda1(rho) <= lambda1(sigma)."""
+    sigma = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    cpath, spath, tpath = (tmp_path / n for n in ("ch.json", "sigma.json", "rho.json"))
+    save_channel(cpath, KrausChannel(operators=(np.eye(4),)))
+    save_matrix(spath, sigma)
+    save_matrix(tpath, sigma)
+    code, out, _ = run_cli(
+        capsys, "channel-verify", "--channel", str(cpath), "--source", str(spath),
+        "--target", str(tpath),
+    )
+    assert code == 0
+    values = parsed_values(out)
+    assert values["majorized"] == "true"
+    assert float(values["bound_general"]) == 0.4
+    assert float(values["concurrence"]) == 0.0
 
 
 def test_channel_verify_rejects_non_unital(capsys, tmp_path):

@@ -60,17 +60,21 @@ EIGENSOLVERS = {"eigh", "eigvalsh", "eigh_lo", "eigvalsh_lo"}
 def _owners(path: Path, names: set[str]) -> set[str]:
     """``module.function`` for each function of a file that names one of ``names``.
 
-    A name counts as an attribute (``np.linalg.eigh``) or as an imported
-    name (``from numpy.linalg import eigh``); module-level uses count as
-    ``module.<module>``.
+    A name counts as an attribute (``np.linalg.eigh``), an imported name
+    (``from numpy.linalg import eigh``) or a plain name; a method counts as
+    ``module.Class.method`` and module-level uses as ``module.<module>``.
     """
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        elif isinstance(node, ast.ClassDef):
             owner = node.name
         if isinstance(node, ast.Attribute):
             named = {node.attr}
+        elif isinstance(node, ast.Name):
+            named = {node.id}
         elif isinstance(node, ast.ImportFrom):
             named = {a.name for a in node.names}
         else:
@@ -125,6 +129,27 @@ def test_only_sweep_names_loadtxt():
     """The sweep CSV reader's ``_table`` is the package's one text-table parser, so the reader has one grammar."""
     owners = set().union(*(_owners(path, {"loadtxt"}) for path in PACKAGE.glob("*.py")))
     assert owners == {"sweep._table"}
+
+
+def test_only_sweep_records_applies_the_row_rule():
+    """A sweep row's values have one gate, whether the row came as a CSV line, arrays or a plain record.
+
+    ``_evaluate`` also calls validate_spectrum, as the gate of the spectra
+    it computes; the grammar error of a line and of a plain record is one constant.
+    """
+    sweep = PACKAGE / "sweep.py"
+    assert _owners(sweep, {"_UNIT_INDEX"}) == {"sweep.<module>", "sweep.SweepRecords.__init__"}
+    assert _owners(sweep, {"validate_spectrum"}) == {"sweep.<module>", "sweep.SweepRecords.__init__", "sweep._evaluate"}
+    assert _owners(sweep, {"_NOT_ROW"}) == {"sweep.<module>", "sweep._first_bad_line", "sweep._record_values"}
+    assert {path.stem for path in PACKAGE.glob("*.py") if "_UNIT_INDEX" in _names(path)} == {"sweep"}
+
+
+def test_cli_names_no_private_package_name():
+    """The command line is a client of the public API: it imports or reads no ``_``-prefixed package name."""
+    nodes = list(ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
+    imported = {a.name for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert {name for name in imported | read if name.startswith("_") and not name.startswith("__")} == set()
 
 
 def _strings(path: Path) -> set[str]:

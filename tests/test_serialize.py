@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,12 +96,27 @@ def test_params_from_json_rejects_bad_keys():
         params_from_json([])
 
 
-def test_params_from_json_refuses_bools_and_reads_numeric_strings():
+def test_params_from_json_refuses_bools_and_numeric_strings():
     obj = params_to_json(SchemeParams(t=0.5, theta1=0.0, theta2=0.0, alpha1=0.0,
                                       alpha2=0.0, mu=1.0, gamma0=0.0, pump_p=0.5))
     with pytest.raises(BadParameterError, match="t must be a number, got True"):
         params_from_json(dict(obj, t=True))
-    assert params_from_json(dict(obj, theta1="0.5", t=1)).theta1 == 0.5
+    with pytest.raises(BadParameterError, match="theta1 must be a number, got '0.5'"):
+        params_from_json(dict(obj, theta1="0.5"))
+    assert params_from_json(dict(obj, t=1)).t == 1.0
+
+
+@pytest.mark.parametrize("value", ["1_0", " 0.5 ", True, None], ids=["underscore", "padded", "true", "null"])
+def test_json_readers_take_only_json_numbers(value):
+    """Python's float() reads "1_0" as 10 and " 0.5 " as 0.5; a JSON number is an int or a float, not a bool."""
+    obj = params_to_json(SchemeParams(t=0.5, theta1=0.0, theta2=0.0, alpha1=0.0,
+                                      alpha2=0.0, mu=1.0, gamma0=0.0, pump_p=0.5))
+    with pytest.raises(BadParameterError, match=f"^theta1 must be a number, got {re.escape(repr(value))}$"):
+        params_from_json(json.loads(json.dumps(dict(obj, theta1=value))))
+    matrix = matrix_to_json(np.eye(2) / 2.0)
+    matrix["re"][1][0] = value
+    with pytest.raises(BadParameterError, match=f"^'re' entry must be a number, got {re.escape(repr(value))}$"):
+        matrix_from_json(json.loads(json.dumps(matrix)))
 
 
 def test_params_from_json_rejects_non_numeric_value():

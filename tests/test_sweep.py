@@ -52,6 +52,9 @@ from pumplimit.sweep import (
 )
 from pumplimit.twoqubit import _PPT_ABOVE, _concurrence_from_s, _orbit_stack, _ppt_det_stack, _wootters_stack
 
+#: the grammar error of a sweep row, after its CSV line or its record's sample_id
+_NOT_ROW = "not an int64 sample_id and 15 numbers"
+
 
 @pytest.mark.parametrize(
     "kwargs",
@@ -303,7 +306,7 @@ def test_verify_bounds_applies_two_d_bound_only_at_full_transmission():
     [
         (dict(concurrence=-1.0), BadParameterError, "concurrence -1.0 is negative"),
         (dict(spectrum=np.array([0.1, 0.9, 0.0, 0.0])), InvalidSpectrumError, "values are not sorted"),
-        (dict(spectrum=np.array([0.9, 0.1, 0.0])), InvalidSpectrumError, "expected 4 values, got 3"),
+        (dict(spectrum=np.array([0.9, 0.1, 0.0])), BadParameterError, _NOT_ROW),
     ],
     ids=["negative_concurrence", "unsorted_spectrum", "three_value_spectrum"],
 )
@@ -329,8 +332,47 @@ def test_verify_bounds_checks_plain_records(change, error, match):
 def test_verify_bounds_refuses_a_sample_id_that_is_not_an_integer(sample_id):
     records = list(run_sweep(SweepConfig(n_samples=3, seed=14)))
     records[1] = dataclasses.replace(records[1], sample_id=sample_id)
-    with pytest.raises(BadParameterError, match=f"^sample_id={re.escape(repr(sample_id))}: not an integer"):
+    with pytest.raises(BadParameterError, match=f"^sample_id={re.escape(repr(sample_id))}: {_NOT_ROW}$"):
         verify_bounds(records)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(sample_id=2**63),
+        dict(sample_id=np.uint64(2**64 - 1)),
+        dict(concurrence=None),
+        dict(bound_general=[0.1]),
+        dict(params=None),
+        dict(concurrence=True),
+    ],
+    ids=["id_past_int64", "uint64_id", "none_concurrence", "list_bound", "none_params", "bool_concurrence"],
+)
+def test_verify_bounds_names_a_plain_record_that_is_not_a_row(change):
+    """A plain record is an int64 sample_id and 15 numbers, by the package's number rule, or it is named."""
+    records = list(run_sweep(SweepConfig(n_samples=_BATCH + 10, seed=14)))
+    records[_BATCH + 3] = dataclasses.replace(records[_BATCH + 3], **change)
+    sample_id = records[_BATCH + 3].sample_id
+    with pytest.raises(BadParameterError, match=f"^sample_id={re.escape(repr(sample_id))}: {_NOT_ROW}$"):
+        verify_bounds(iter(records))
+
+
+def test_plain_records_read_numeric_strings_as_settings_do():
+    record = run_sweep(SweepConfig(n_samples=1, seed=14))[0]
+    as_text = dataclasses.replace(record, concurrence=repr(record.concurrence), bound_2d="0.5")
+    assert _report_key(verify_bounds([as_text])) == _report_key(verify_bounds([record]))
+
+
+def test_a_bad_csv_line_and_a_bad_plain_record_get_one_message(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n" + "0,0.5,0.5,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0\n")
+    with pytest.raises(BadConfigError) as line:
+        verify_csv(path)
+    record = dataclasses.replace(run_sweep(SweepConfig(n_samples=1, seed=14))[0], spectrum=np.ones(3) / 3)
+    with pytest.raises(BadParameterError) as plain:
+        verify_bounds([record])
+    assert str(line.value) == f"{path}, line 2: {_NOT_ROW}"
+    assert str(plain.value) == f"sample_id=0: {_NOT_ROW}"
 
 
 def test_sweep_has_no_violations_in_either_mode(tmp_path):
@@ -952,7 +994,6 @@ def test_audit_flags_rows_that_break_the_bound(two_batch_csv, tmp_path, values):
 
 _TAIL = "0.5,0.3,0,0,0,0,1,0,0.1,0.75,0.5,1,0,0,0"  # a valid row after its sample_id
 _NOT_ID = "is not a nonnegative int64"
-_NOT_ROW = "not an int64 sample_id and 15 numbers"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ def test_wootters_spectrum_bell():
 )
 def test_unitary_max_concurrence_values(spectrum, expected):
     assert unitary_max_concurrence(spectrum) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("rows", [2, 1])
+def test_single_spectrum_helpers_refuse_a_stack(rows):
+    stack = np.tile([0.7, 0.3, 0.0, 0.0], (rows, 1))
+    for helper in (unitary_max_concurrence, construct_max_entangled_state):
+        with pytest.raises(InvalidSpectrumError, match=re.escape(f"got shape ({rows}, 4)")):
+            helper(stack)
 
 
 def test_unitary_max_concurrence_rejects():
